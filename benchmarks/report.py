@@ -7,8 +7,6 @@ Usage:
     python benchmarks/report.py --json BENCH_PR2.json   # write a trajectory entry
     python benchmarks/report.py --pr8 BENCH_PR8.json [--trials N]
                                                         # par vs par_proc R-MAT sweep
-    python benchmarks/report.py --pr10 BENCH_PR10.json [--trials N]
-                                                        # native vs linalg backend sweep
     python benchmarks/report.py --check BENCH_PR2.json  # schema-validate one
     python benchmarks/report.py --trajectory            # render all BENCH_*.json
     python benchmarks/report.py --compare BENCH_PR3.json BENCH_PR4.json
@@ -282,135 +280,6 @@ def collect_pr8_entry(label: str = "", trials: int = 3) -> dict:
     return entry
 
 
-# -- PR10: linear-algebra backend vs the native frontier path --------------------------
-
-#: The PR10 sweep: bulk workloads (every vertex active every round) on a
-#: scale-16 R-MAT, native ``par_vector`` vs the ``linalg`` backend.  The
-#: native workload names match PR8's exactly so ``repro diff`` and
-#: ``--compare`` line up against ``BENCH_PR8.json``; the ``/linalg``
-#: rows are the new columns the crossover claim rests on.  Frontier
-#: algorithms (BFS/SSSP) are deliberately absent: sparse frontiers are
-#: the native path's home turf and docs/linalg.md covers why.
-PR10_WORKLOADS = [
-    {"algorithm": "pagerank", "scale": 16,
-     "backends": ("native", "linalg")},
-    {"algorithm": "spmv", "scale": 16,
-     "backends": ("native", "linalg")},
-]
-
-#: SpMV repetitions per measured run: one scale-16 multiply is a
-#: couple of milliseconds, so a single call is scheduler noise.  The
-#: recorded ``seconds`` is for all repeats under both backends alike —
-#: the ratio is what the entry exists to pin down.
-PR10_SPMV_REPEATS = 8
-
-
-def _pr10_runner(algorithm: str):
-    """Runner for :func:`profile_algorithm` covering the PR10 sweep.
-
-    Both runners accept ``backend`` so the same closure serves the
-    native and linalg columns; PageRank reuses the PR8 iteration cap so
-    its native row stays comparable with ``BENCH_PR8.json``.
-    """
-    if algorithm == "pagerank":
-
-        def run_pagerank(graph, source, policy, num_workers, backend="native"):
-            from repro.algorithms import pagerank
-
-            return pagerank(
-                graph,
-                policy=policy,
-                max_iterations=PR8_PAGERANK_ITERATIONS,
-                backend=backend,
-            )
-
-        return run_pagerank
-    if algorithm == "spmv":
-
-        def run_spmv(graph, source, policy, num_workers, backend="native"):
-            import numpy as np
-
-            from repro.algorithms import spmv
-
-            x = np.random.default_rng(0).random(graph.n_vertices)
-            y = x
-            for _ in range(PR10_SPMV_REPEATS):
-                y = spmv(graph, y, policy=policy, backend=backend)
-            return y
-
-        return run_spmv
-    return None
-
-
-def collect_pr10_entry(label: str = "", trials: int = 3) -> dict:
-    """Run the PR10 native-vs-linalg sweep; return a trajectory entry.
-
-    Same discipline as :func:`collect_pr8_entry`: one shared seeded
-    graph per scale, ``trials`` runs per cell, fastest kept.  The
-    linalg cells are warmed once before timing so the one-time
-    ``import scipy.sparse`` and cached-operand builds (``graph.derived``)
-    don't masquerade as kernel cost.
-    """
-    _bootstrap_repro()
-    from repro.graph.generators import rmat
-    from repro.linalg.kernels import scipy_available
-    from repro.observability.profile import profile_algorithm
-
-    graphs = {}
-    workloads = []
-    for spec in PR10_WORKLOADS:
-        scale = spec["scale"]
-        if scale not in graphs:
-            graphs[scale] = rmat(scale, 16, weighted=True, seed=0)
-        graph = graphs[scale]
-        runner = _pr10_runner(spec["algorithm"])
-        for backend in spec["backends"]:
-            if backend == "linalg":
-                profile_algorithm(
-                    graph,
-                    spec["algorithm"],
-                    trace=False,
-                    runner=runner,
-                    backend="linalg",
-                )
-            best = None
-            for _ in range(max(1, trials)):
-                report = profile_algorithm(
-                    graph,
-                    spec["algorithm"],
-                    policy="par_vector",
-                    trace=False,
-                    runner=runner,
-                    backend=backend,
-                )
-                entry = report.summary_metrics()
-                if best is None or entry["seconds"] < best["seconds"]:
-                    best = entry
-            suffix = "par_vector" if backend == "native" else backend
-            best["algorithm"] = spec["algorithm"]
-            best["name"] = f"{spec['algorithm']}_rmat{scale}/{suffix}"
-            best["scale"] = scale
-            best["backend"] = backend
-            best["trials"] = max(1, trials)
-            best["cores"] = os.cpu_count() or 1
-            if backend == "linalg":
-                best["scipy"] = scipy_available()
-            workloads.append(best)
-            print(
-                f"  {best['name']:<28} {best['seconds'] * 1e3:>9.1f} ms",
-                file=sys.stderr,
-            )
-    entry = {
-        "schema": BENCH_SCHEMA,
-        "label": label,
-        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "cores": os.cpu_count() or 1,
-        "workloads": workloads,
-    }
-    _ledger_entry(entry)
-    return entry
-
-
 def _ledger_entry(entry: dict) -> None:
     """Best-effort run-ledger record of a trajectory collection.
 
@@ -530,30 +399,6 @@ def main(argv=None) -> int:
             )
             return 2
         entry = collect_pr8_entry(
-            label=os.path.splitext(os.path.basename(argv[1]))[0],
-            trials=trials,
-        )
-        with open(argv[1], "w", encoding="utf-8") as fh:
-            json.dump(entry, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {argv[1]} ({len(entry['workloads'])} workloads)")
-        return 0
-    if argv and argv[0] == "--pr10":
-        trials = 3
-        if "--trials" in argv:
-            i = argv.index("--trials")
-            try:
-                trials = int(argv[i + 1])
-            except (IndexError, ValueError):
-                print("--trials requires an integer", file=sys.stderr)
-                return 2
-            del argv[i : i + 2]
-        if len(argv) != 2:
-            print(
-                "usage: report.py --pr10 OUT.json [--trials N]", file=sys.stderr
-            )
-            return 2
-        entry = collect_pr10_entry(
             label=os.path.splitext(os.path.basename(argv[1]))[0],
             trials=trials,
         )

@@ -1,9 +1,11 @@
 """HITS hubs-and-authorities — the push/pull pair in one algorithm.
 
-Each iteration needs *both* graph orientations: authority scores pull
-over in-edges (CSC), hub scores push over out-edges (CSR) — the dual-representation cost
-§III-C accepts "at the cost of memory space" pays off here, since
-neither direction alone suffices.
+Each iteration needs *both* products: authority scores sum over
+in-edges (``Aᵀ·hub``), hub scores over out-edges (``A·auth``).  The
+(+, ×) sum-aggregate kernel (:mod:`repro.operators.sum_aggregate`)
+computes both off the CSR arrays alone — scatter for the transpose,
+gather for the forward product — so the dual-representation cost §III-C
+accepts "at the cost of memory space" is not paid here.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from repro.graph.graph import Graph
 from repro.execution.policy import ExecutionPolicy, par_vector, resolve_policy
 from repro.utils.counters import RunStats
-from repro.operators.fused import segmented_sum
+from repro.operators.sum_aggregate import graph_aggregate
 
 
 @dataclass
@@ -46,32 +48,23 @@ def hits(
     """
     from repro.execution.backend import resolve_backend
 
-    if resolve_backend(backend, "hits") == "linalg":
-        from repro.linalg.algorithms import linalg_hits
-
-        return linalg_hits(
-            graph, max_iterations=max_iterations, tolerance=tolerance
-        )
+    resolve_backend(backend, "hits")  # validates; both names run this driver
     resolve_policy(policy)
     n = graph.n_vertices
     if n == 0:
         empty = np.empty(0)
         return HITSResult(empty, empty, 0, True)
-    coo = graph.coo()
+    aggregate = graph_aggregate(graph)
     hubs = np.full(n, 1.0 / np.sqrt(n), dtype=np.float64)
     auth = hubs.copy()
     converged = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        new_auth = segmented_sum(
-            coo.cols, coo.vals.astype(np.float64) * hubs[coo.rows], n
-        )
+        new_auth = aggregate.scatter(hubs)
         norm = np.linalg.norm(new_auth)
         if norm > 0:
             new_auth /= norm
-        new_hubs = segmented_sum(
-            coo.rows, coo.vals.astype(np.float64) * new_auth[coo.cols], n
-        )
+        new_hubs = aggregate.gather(new_auth)
         norm = np.linalg.norm(new_hubs)
         if norm > 0:
             new_hubs /= norm

@@ -7,9 +7,10 @@ rather than frontier emptiness — demonstrating that the loop structure's
 convergence conditions are pluggable, not hard-wired to traversal.
 
 The rank update is the standard damped power iteration with dangling-
-vertex mass redistributed uniformly; the vectorized policy computes each
-superstep as one scatter-add over the edge list, the threaded/sequential
-policies via per-edge accumulation through the operator layer.
+vertex mass redistributed uniformly; the vectorized and multiprocess
+policies compute each superstep as one (+, ×) sum-aggregate
+(:mod:`repro.operators.sum_aggregate`), the threaded/sequential policies
+via per-edge accumulation through the operator layer.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from repro.execution.policy import (
     resolve_policy,
 )
 from repro.execution.thread_pool import even_chunks, get_pool
-from repro.operators.fused import segmented_sum
+from repro.operators.sum_aggregate import graph_aggregate
 from repro.utils.counters import RunStats
 
 
@@ -66,21 +67,17 @@ def pagerank(
     ``initial_ranks`` warm-starts the iteration (e.g. from a
     pre-mutation result); the fixed point is unique, so the start only
     affects how many iterations convergence takes.
-    ``backend="linalg"`` runs the power iteration as (+, ×) matrix
-    products (scipy's C matvec when importable).
+
+    The sum-aggregate ``incoming = Aᵀ·share`` is the one (+, ×) kernel
+    of :mod:`repro.operators.sum_aggregate` under ``par_vector`` (over
+    the CSR, in process) and ``par_proc`` (over CSC slices in shared
+    memory) — bit-identical to each other; ``seq``/``par`` keep their
+    per-edge loops (the policy axis).  ``backend="linalg"`` names the
+    same computation and runs the same code.
     """
     from repro.execution.backend import resolve_backend
 
-    if resolve_backend(backend, "pagerank") == "linalg":
-        from repro.linalg.algorithms import linalg_pagerank
-
-        return linalg_pagerank(
-            graph,
-            damping=damping,
-            tolerance=tolerance,
-            max_iterations=max_iterations,
-            initial_ranks=initial_ranks,
-        )
+    resolve_backend(backend, "pagerank")  # validates; both names run this driver
     policy = resolve_policy(policy)
     if not (0.0 <= damping <= 1.0):
         raise ValueError(f"damping must be in [0, 1], got {damping}")
@@ -90,12 +87,14 @@ def pagerank(
             ranks=np.empty(0), iterations=0, delta=0.0, converged=True
         )
     csr = graph.csr()
-    coo = graph.coo()
+    aggregate = graph_aggregate(graph)
     # Rank mass flows along edges in proportion to edge weight (degrees
     # for unit weights) — the same convention as networkx, so oracles
     # compare directly on weighted graphs.
-    out_weight = segmented_sum(coo.rows, coo.vals.astype(np.float64), n)
-    dangling = out_weight == 0
+    out_weight = aggregate.gather(np.ones(n, dtype=np.float64))
+    dangling = np.flatnonzero(out_weight == 0)
+    # x / inf == 0: dangling vertices share nothing, in one pass.
+    out_weight[dangling] = np.inf
     if initial_ranks is not None:
         if initial_ranks.shape != (n,):
             raise ValueError(
@@ -111,79 +110,58 @@ def pagerank(
 
     state_box = {"ranks": ranks, "delta": np.inf, "iterations": 0}
 
-    def superstep_vector() -> None:
-        r = state_box["ranks"]
-        share = np.where(dangling, 0.0, r / np.maximum(out_weight, 1e-300))
-        incoming = segmented_sum(
-            coo.cols, coo.vals.astype(np.float64) * share[coo.rows], n
-        )
-        dangling_mass = float(r[dangling].sum()) / n
-        new_ranks = (1.0 - damping) / n + damping * (incoming + dangling_mass)
-        state_box["delta"] = float(np.abs(new_ranks - r).sum())
-        state_box["ranks"] = new_ranks
+    def incoming_vector(r: np.ndarray) -> np.ndarray:
+        share = r / out_weight
+        if isinstance(policy, ProcPolicy):
+            # Sharded superstep: the parent computes ``share`` once and
+            # mirrors it; each worker runs the kernel over a contiguous
+            # CSC column range.  Inside a worker (no nested pools) the
+            # in-process form below stands in.
+            from repro.execution.proc_engine import get_engine, proc_available
 
-    def superstep_proc() -> bool:
-        """Sharded superstep: worker processes each scatter-add a
-        contiguous CSC column range into a shared ``incoming`` vector.
-        Per-vertex sums match the vectorized superstep up to float64
-        summation order (the conformance tolerance for ranks).  Returns
-        False when sharding is unavailable here (inside a worker) so the
-        caller falls back to the vectorized form."""
-        from repro.execution.proc_engine import get_engine, proc_available
+            if proc_available():
+                return get_engine().pagerank_incoming(policy, graph, share)
+        return aggregate.scatter(share)
 
-        if not proc_available():
-            return False
-        r = state_box["ranks"]
-        incoming = get_engine().pagerank_incoming(policy, graph, r, out_weight)
-        dangling_mass = float(r[dangling].sum()) / n
-        new_ranks = (1.0 - damping) / n + damping * (incoming + dangling_mass)
-        state_box["delta"] = float(np.abs(new_ranks - r).sum())
-        state_box["ranks"] = new_ranks
-        return True
-
-    def superstep_scalar(parallel: bool) -> None:
-        r = state_box["ranks"]
-        incoming = np.zeros(n, dtype=np.float64)
-
+    def incoming_scalar(r: np.ndarray, parallel: bool) -> np.ndarray:
         def accumulate(start: int, stop: int) -> np.ndarray:
             local = np.zeros(n, dtype=np.float64)
             for v in range(start, stop):
-                total = out_weight[v]
-                if total == 0:
+                share = r[v] / out_weight[v]
+                if share == 0:
                     continue
-                share = r[v] / total
                 for e in csr.get_edges(v):
                     local[csr.get_dest_vertex(e)] += share * float(
                         csr.values[e]
                     )
             return local
 
-        if parallel:
-            pool = get_pool(policy.num_workers)
-            partials = pool.run_tasks(
-                [
-                    (lambda s=s, e=e: accumulate(s, e))
-                    for s, e in even_chunks(n, policy.num_workers or pool.num_workers)
-                ]
-            )
-            for p in partials:
-                incoming += p
+        if not parallel:
+            return accumulate(0, n)
+        pool = get_pool(policy.num_workers)
+        partials = pool.run_tasks(
+            [
+                (lambda s=s, e=e: accumulate(s, e))
+                for s, e in even_chunks(n, policy.num_workers or pool.num_workers)
+            ]
+        )
+        incoming = np.zeros(n, dtype=np.float64)
+        for p in partials:
+            incoming += p
+        return incoming
+
+    def step(frontier, state):
+        r = state_box["ranks"]
+        if isinstance(policy, VectorPolicy):  # par_vector and par_proc
+            incoming = incoming_vector(r)
         else:
-            incoming = accumulate(0, n)
-        dangling_mass = float(r[dangling].sum()) / n
+            incoming = incoming_scalar(
+                r, parallel=not isinstance(policy, SequencedPolicy)
+            )
+        dangling_mass = float(r.take(dangling).sum()) / n
         new_ranks = (1.0 - damping) / n + damping * (incoming + dangling_mass)
         state_box["delta"] = float(np.abs(new_ranks - r).sum())
         state_box["ranks"] = new_ranks
-
-    def step(frontier, state):
-        if isinstance(policy, ProcPolicy) and superstep_proc():
-            pass
-        elif isinstance(policy, VectorPolicy):
-            superstep_vector()
-        elif isinstance(policy, SequencedPolicy):
-            superstep_scalar(parallel=False)
-        else:
-            superstep_scalar(parallel=True)
         state.context["delta"] = state_box["delta"]
         state_box["iterations"] += 1
         return frontier  # all-vertices frontier is static

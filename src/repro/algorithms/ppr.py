@@ -23,7 +23,7 @@ from repro.execution.policy import ExecutionPolicy, par_vector, resolve_policy
 from repro.resilience.deadline import active_token
 from repro.utils.counters import IterationStats, RunStats
 from repro.utils.validation import check_probability
-from repro.operators.fused import segmented_sum
+from repro.operators.sum_aggregate import graph_aggregate
 
 
 @dataclass
@@ -52,20 +52,12 @@ def personalized_pagerank(
 
     ``initial_ranks`` warm-starts the iteration from a previous rank
     vector (the unique fixed point is unchanged; only the iteration
-    count to reach it shrinks)."""
+    count to reach it shrinks).  ``incoming = Aᵀ·share`` is the shared
+    (+, ×) kernel (:mod:`repro.operators.sum_aggregate`) under either
+    ``backend`` name."""
     from repro.execution.backend import resolve_backend
 
-    if resolve_backend(backend, "ppr") == "linalg":
-        from repro.linalg.algorithms import linalg_ppr
-
-        return linalg_ppr(
-            graph,
-            seeds,
-            damping=damping,
-            tolerance=tolerance,
-            max_iterations=max_iterations,
-            initial_ranks=initial_ranks,
-        )
+    resolve_backend(backend, "ppr")  # validates; both names run this driver
     resolve_policy(policy)
     damping = float(damping)
     if not (0.0 <= damping <= 1.0):
@@ -76,9 +68,11 @@ def personalized_pagerank(
         raise ValueError("at least one seed vertex is required")
     if int(seeds.min()) < 0 or int(seeds.max()) >= n:
         raise ValueError(f"seed ids must lie in [0, {n})")
-    coo = graph.coo()
-    out_weight = segmented_sum(coo.rows, coo.vals.astype(np.float64), n)
-    dangling = out_weight == 0
+    aggregate = graph_aggregate(graph)
+    out_weight = aggregate.gather(np.ones(n, dtype=np.float64))
+    dangling = np.flatnonzero(out_weight == 0)
+    # x / inf == 0: dangling vertices share nothing, in one pass.
+    out_weight[dangling] = np.inf
 
     teleport = np.zeros(n, dtype=np.float64)
     teleport[seeds] = 1.0 / seeds.size
@@ -103,11 +97,8 @@ def personalized_pagerank(
             # report it unconverged instead of erroring out.
             iterations -= 1
             break
-        share = np.where(dangling, 0.0, ranks / np.maximum(out_weight, 1e-300))
-        incoming = segmented_sum(
-            coo.cols, coo.vals.astype(np.float64) * share[coo.rows], n
-        )
-        dangling_mass = float(ranks[dangling].sum())
+        incoming = aggregate.scatter(ranks / out_weight)
+        dangling_mass = float(ranks.take(dangling).sum())
         new_ranks = (
             (1.0 - damping) * teleport
             + damping * (incoming + dangling_mass * teleport)

@@ -4,8 +4,10 @@ exploited even in the native-graph approach").
 
 ``y = A·x`` where A is the graph's weighted adjacency: each edge
 (u, v, w) contributes ``w·x[v]`` to ``y[u]`` (out-edge gather).  The
-vectorized policy is a single scatter-add over the edge list; seq/par go
-through per-vertex accumulation.  :func:`power_iteration` builds the
+vectorized policy is the (+, ×) sum-aggregate kernel
+(:mod:`repro.operators.sum_aggregate` — the same one PageRank, HITS and
+the linalg backend's unmasked SpMV run on); seq/par go through
+per-vertex accumulation.  :func:`power_iteration` builds the
 dominant-eigenvector loop on top, reusing the framework's convergence
 conditions.
 """
@@ -25,7 +27,7 @@ from repro.execution.policy import (
     resolve_policy,
 )
 from repro.execution.thread_pool import even_chunks, get_pool
-from repro.operators.fused import segmented_sum
+from repro.operators.sum_aggregate import graph_aggregate
 
 
 def spmv(
@@ -37,14 +39,13 @@ def spmv(
 ) -> np.ndarray:
     """Multiply the graph's weighted adjacency matrix by vector ``x``.
 
-    ``y[u] = Σ_{(u,v,w)} w · x[v]`` over u's out-edges.
+    ``y[u] = Σ_{(u,v,w)} w · x[v]`` over u's out-edges.  ``backend`` is
+    accepted for interface parity: (+, ×) SpMV is one kernel under
+    either name.
     """
     from repro.execution.backend import resolve_backend
 
-    if resolve_backend(backend, "spmv") == "linalg":
-        from repro.linalg.algorithms import linalg_spmv
-
-        return linalg_spmv(graph, x)
+    resolve_backend(backend, "spmv")  # validates; both names run this driver
     policy = resolve_policy(policy)
     n = graph.n_vertices
     x = np.asarray(x, dtype=np.float64).ravel()
@@ -52,13 +53,10 @@ def spmv(
         raise ValueError(
             f"x must have one entry per vertex ({n}), got {x.shape[0]}"
         )
+    if isinstance(policy, VectorPolicy):
+        return graph_aggregate(graph).gather(x)
     csr = graph.csr()
     y = np.zeros(n, dtype=np.float64)
-
-    if isinstance(policy, VectorPolicy):
-        coo = graph.coo()
-        y = segmented_sum(coo.rows, coo.vals.astype(np.float64) * x[coo.cols], n)
-        return y
 
     def rows_span(start: int, stop: int) -> None:
         for u in range(start, stop):

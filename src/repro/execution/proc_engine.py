@@ -51,9 +51,9 @@ from repro.resilience.policy import ResiliencePolicy
 from repro.resilience.retry import RetryPolicy
 from repro.types import VERTEX_DTYPE
 
-#: Bounded cache of static-array placements (edge masks, out-weight
-#: vectors): big enough for every live algorithm run in a realistic
-#: process, small enough that abandoned arrays get their segments back.
+#: Bounded cache of static-array placements (edge masks): big enough
+#: for every live algorithm run in a realistic process, small enough
+#: that abandoned arrays get their segments back.
 _STATIC_CACHE_LIMIT = 16
 
 _EMPTY_MERGE = (
@@ -128,8 +128,8 @@ class ProcEngine:
                     self.arena.release(descriptor)
 
     def _static_share(self, arr: np.ndarray) -> shm.Descriptor:
-        """Immutable placement cached by array identity (edge masks,
-        out-weight vectors — constant across one algorithm's supersteps)."""
+        """Immutable placement cached by array identity (edge masks —
+        constant across one algorithm's supersteps)."""
         key = id(arr)
         with self._lock:
             hit = self._static.get(key)
@@ -328,18 +328,24 @@ class ProcEngine:
     # -- pagerank ----------------------------------------------------------------------
 
     def pagerank_incoming(
-        self, policy, graph, ranks: np.ndarray, out_weight: np.ndarray
+        self, policy, graph, share: np.ndarray
     ) -> np.ndarray:
-        """One PageRank superstep's incoming-mass vector, computed over
-        contiguous CSC column ranges in parallel (disjoint shared
-        writes; re-running a range after a crash is idempotent)."""
+        """One PageRank superstep's incoming-mass vector ``Aᵀ·share``:
+        the sum-aggregate kernel over contiguous CSC column ranges in
+        parallel (disjoint shared writes; re-running a range after a
+        crash is idempotent)."""
         n = graph.n_vertices
         n_workers = self._worker_count(policy)
         pool = get_proc_pool(n_workers)
         with self._lock:
             gdesc = self._graph_share(graph, "csc")
-            ranks_ref = _shm_ref(self._mirror("pr.ranks", ranks))
-            ow_ref = _shm_ref(self._static_share(out_weight))
+            if "weights64" not in gdesc:
+                # The kernel's float64 weights, cast once per graph
+                # (released with the graph's other placements).
+                gdesc["weights64"] = self.arena.place(
+                    graph.csc().values.astype(np.float64)
+                )
+            share_ref = _shm_ref(self._mirror("pr.share", share))
             inc_desc, incoming = self.arena.slot_array(
                 "pr.incoming", n, np.float64
             )
@@ -350,9 +356,8 @@ class ProcEngine:
                 per_rank[rank] = {
                     "col_offsets": _shm_ref(gdesc["offsets"]),
                     "row_indices": _shm_ref(gdesc["indices"]),
-                    "edge_weights": _shm_ref(gdesc["weights"]),
-                    "ranks": ranks_ref,
-                    "out_weight": ow_ref,
+                    "edge_weights": _shm_ref(gdesc["weights64"]),
+                    "share": share_ref,
                     "incoming": _shm_ref(inc_desc),
                     "lo": int(lo),
                     "hi": int(hi),

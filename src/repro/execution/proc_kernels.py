@@ -24,9 +24,11 @@ never changes the fold (the filter is monotone), which is what makes
 the per-worker pre-filter safe bandwidth reduction rather than a
 semantic choice.
 
-These functions are deliberately importable with nothing but NumPy so
-the spawn-started workers load fast, and they are unit-tested in
-process against the fused kernels (``tests/test_par_proc.py``).
+The min-relax / claim kernels need nothing but NumPy;
+:func:`pagerank_range` is the shared sum-aggregate kernel
+(:mod:`repro.operators.sum_aggregate`), which imports scipy lazily on
+its first product — traversal-only workers never load it.  All are
+unit-tested in process (``tests/test_par_proc.py``).
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
+
+from repro.operators.sum_aggregate import SumAggregate
 
 _EMPTY_PAIR = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
 
@@ -170,32 +174,30 @@ def pagerank_range(
     col_offsets: np.ndarray,
     row_indices: np.ndarray,
     edge_weights: np.ndarray,
-    ranks: np.ndarray,
-    out_weight: np.ndarray,
+    share: np.ndarray,
     incoming: np.ndarray,
     lo: int,
     hi: int,
 ) -> int:
-    """Incoming rank mass for the vertex range ``[lo, hi)`` (CSC slice).
+    """Incoming rank mass for the vertex range ``[lo, hi)``: the shared
+    (+, ×) sum-aggregate kernel, gathered over this worker's CSC slice.
 
-    The one kernel that *writes* shared memory: ``incoming`` rows are
-    partitioned contiguously across workers, so writes are disjoint and
-    re-running the range after a worker crash is idempotent.  Returns
-    the edge count processed (the round's work accounting).
+    ``share`` is the parent's per-source ``rank / out_weight`` (computed
+    once per superstep, mirrored), ``edge_weights`` the CSC's float64
+    weights — so the worker does no per-edge preparation at all, and its
+    sums match the in-process scatter over the CSR bit for bit (both add
+    a destination's terms in source order).  The one kernel that
+    *writes* shared memory: ``incoming`` rows are partitioned
+    contiguously across workers, so writes are disjoint and re-running
+    the range after a worker crash is idempotent.  Returns the edge
+    count processed (the round's work accounting).
     """
     e0 = int(col_offsets[lo])
     e1 = int(col_offsets[hi])
-    if e1 == e0:
-        incoming[lo:hi] = 0.0
-        return 0
-    srcs = row_indices[e0:e1]
-    ow = out_weight.take(srcs)
-    share = ranks.take(srcs) / np.maximum(ow, 1e-300)
-    np.copyto(share, 0.0, where=ow == 0)
-    contrib = edge_weights[e0:e1].astype(np.float64) * share
-    cols = np.repeat(
-        np.arange(lo, hi, dtype=np.int64) - lo,
-        np.diff(col_offsets[lo : hi + 1]),
-    )
-    incoming[lo:hi] = np.bincount(cols, weights=contrib, minlength=hi - lo)
+    incoming[lo:hi] = SumAggregate(
+        col_offsets[lo : hi + 1] - e0,
+        row_indices[e0:e1],
+        edge_weights[e0:e1],
+        share.shape[0],
+    ).gather(share)
     return e1 - e0

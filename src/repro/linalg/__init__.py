@@ -9,9 +9,12 @@ facade:
 * :mod:`repro.linalg.semiring` — the (⊕, ⊗) algebras: ``(min, +)``,
   ``(or, and)``, ``(+, ×)``.
 * :mod:`repro.linalg.kernels` — masked SpMV (pull) and SpMSpV (push),
-  pure NumPy with an opportunistic scipy fast path.
-* :mod:`repro.linalg.algorithms` — eight algorithms as semiring
-  iterations, returning the native result types.
+  pure NumPy; the unmasked ``(+, ×)`` product is the sum-aggregate
+  kernel every executor shares (:mod:`repro.operators.sum_aggregate`).
+* :mod:`repro.linalg.algorithms` — bfs / sssp / cc / spgemm as semiring
+  iterations, returning the native result types.  The four ``(+, ×)``
+  algorithms (pagerank, ppr, hits, spmv) have no separate driver: their
+  native loops already run on that kernel, under either backend name.
 
 Select it per call with ``backend="linalg"`` on the native entry
 points, or via ``--backend`` on the CLI; the conformance matrix crosses
@@ -22,20 +25,10 @@ from repro.linalg.algorithms import (
     MIN_SELECT,
     linalg_bfs,
     linalg_cc,
-    linalg_hits,
-    linalg_pagerank,
-    linalg_ppr,
     linalg_spgemm,
-    linalg_spmv,
     linalg_sssp,
 )
-from repro.linalg.kernels import (
-    force_numpy,
-    scipy_adjacency,
-    scipy_available,
-    spmspv,
-    spmv,
-)
+from repro.linalg.kernels import scipy_adjacency, spmspv, spmv
 from repro.linalg.semiring import (
     MIN_PLUS,
     OR_AND,
@@ -45,6 +38,7 @@ from repro.linalg.semiring import (
     resolve_semiring,
     semiring_names,
 )
+from repro.operators.sum_aggregate import force_numpy, scipy_available
 
 __all__ = [
     "MIN_PLUS",
@@ -56,11 +50,7 @@ __all__ = [
     "force_numpy",
     "linalg_bfs",
     "linalg_cc",
-    "linalg_hits",
-    "linalg_pagerank",
-    "linalg_ppr",
     "linalg_spgemm",
-    "linalg_spmv",
     "linalg_sssp",
     "resolve_semiring",
     "scipy_adjacency",

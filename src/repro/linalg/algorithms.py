@@ -1,4 +1,4 @@
-"""The eight algorithms as linear-algebra iterations.
+"""Algorithms as linear-algebra iterations.
 
 Each driver here reproduces one native-graph algorithm as a loop of
 masked SpMV / SpMSpV products (§IV-A: "the duality of graphs and sparse
@@ -16,12 +16,16 @@ sssp                  (min, +)                   push SpMSpV over the
                                                  improved frontier
 cc                    (min, select)              SpMSpV label push over
                                                  both orientations
-pagerank / ppr        (+, ×)                     dense SpMV (Aᵀ·share)
-hits                  (+, ×)                     Aᵀ·hub then A·auth
-spmv                  (+, ×)                     A·x
 spgemm                (+, ×)                     A·B (scipy or COO
                                                  expand/collapse)
 ====================  =========================  =======================
+
+The dense ``(+, ×)`` algorithms — pagerank, ppr, hits, spmv — have no
+driver here: their native loops *are* the matrix iteration, running on
+the one sum-aggregate kernel (:mod:`repro.operators.sum_aggregate`) that
+:func:`repro.linalg.kernels.spmv` also hands unmasked ``PLUS_TIMES``
+products to.  ``backend="linalg"`` on those entry points is accepted and
+recorded, and runs the same code.
 
 The drivers reuse the native direction optimizer's thresholds: push
 (SpMSpV) while the frontier is small, pull (masked SpMV) when it covers
@@ -37,24 +41,16 @@ crosses ``backend="linalg"`` against the default policy instead.
 from __future__ import annotations
 
 import time as _time
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
 from repro.algorithms.bfs import BFSResult, UNREACHED
 from repro.algorithms.cc import CCResult
-from repro.algorithms.hits import HITSResult
-from repro.algorithms.pagerank import PageRankResult
-from repro.algorithms.ppr import PPRResult
 from repro.algorithms.sssp import SSSPResult
 from repro.graph.graph import Graph
 from repro.linalg.kernels import scipy_adjacency, spmspv, spmv
-from repro.linalg.semiring import (
-    MIN_PLUS,
-    OR_AND,
-    PLUS_TIMES,
-    Semiring,
-)
+from repro.linalg.semiring import MIN_PLUS, OR_AND, Semiring
 from repro.types import INF, INVALID_VERTEX, VALUE_DTYPE, VERTEX_DTYPE, WEIGHT_DTYPE
 from repro.utils.counters import IterationStats, RunStats
 from repro.utils.validation import check_vertex_in_range
@@ -305,197 +301,7 @@ def linalg_cc(graph: Graph) -> CCResult:
     )
 
 
-# -- rank family --------------------------------------------------------------
-
-
-def _out_weight(graph: Graph) -> np.ndarray:
-    """Per-vertex total outgoing edge weight (the rank-share divisor)."""
-    n = graph.n_vertices
-    return spmv(graph, np.ones(n, dtype=np.float64), semiring=PLUS_TIMES)
-
-
-def linalg_pagerank(
-    graph: Graph,
-    *,
-    damping: float = 0.85,
-    tolerance: float = 1e-6,
-    max_iterations: int = 100,
-    initial_ranks: Optional[np.ndarray] = None,
-) -> PageRankResult:
-    """Damped PageRank as dense (+, ×) products: ``incoming = Aᵀ·share``.
-
-    Numerically the same update as the native vectorized superstep
-    (dangling mass redistributed uniformly); the product routes through
-    scipy's C matvec when available, the bulk-workload crossover the
-    benchmark entry records.
-    """
-    if not (0.0 <= damping <= 1.0):
-        raise ValueError(f"damping must be in [0, 1], got {damping}")
-    n = graph.n_vertices
-    if n == 0:
-        return PageRankResult(
-            ranks=np.empty(0), iterations=0, delta=0.0, converged=True
-        )
-    out_weight = _out_weight(graph)
-    dangling = out_weight == 0
-    if initial_ranks is not None:
-        if initial_ranks.shape != (n,):
-            raise ValueError(
-                f"initial_ranks must have shape ({n},), "
-                f"got {initial_ranks.shape}"
-            )
-        ranks = initial_ranks.astype(np.float64, copy=True)
-        total = float(ranks.sum())
-        if total > 0:
-            ranks /= total
-    else:
-        ranks = np.full(n, 1.0 / n, dtype=np.float64)
-    delta = np.inf
-    iterations = 0
-    stats = RunStats()
-    for iterations in range(1, max_iterations + 1):
-        t0 = _time.perf_counter()
-        share = np.where(
-            dangling, 0.0, ranks / np.maximum(out_weight, 1e-300)
-        )
-        incoming = spmv(graph, share, semiring=PLUS_TIMES, transpose=True)
-        dangling_mass = float(ranks[dangling].sum()) / n
-        new_ranks = (1.0 - damping) / n + damping * (
-            incoming + dangling_mass
-        )
-        delta = float(np.abs(new_ranks - ranks).sum())
-        ranks = new_ranks
-        _record(stats, iterations - 1, n, graph.n_edges, t0)
-        if delta <= tolerance:
-            break
-    converged = delta <= tolerance
-    stats.converged = converged
-    return PageRankResult(
-        ranks=ranks,
-        iterations=iterations,
-        delta=delta,
-        converged=converged,
-        stats=stats,
-    )
-
-
-def linalg_ppr(
-    graph: Graph,
-    seeds: Union[int, Sequence[int]],
-    *,
-    damping: float = 0.85,
-    tolerance: float = 1e-8,
-    max_iterations: int = 200,
-    initial_ranks: Optional[np.ndarray] = None,
-) -> PPRResult:
-    """Personalized PageRank as dense (+, ×) products (teleport to seeds)."""
-    damping = float(damping)
-    if not (0.0 <= damping <= 1.0):
-        raise ValueError(f"damping must be in [0, 1], got {damping}")
-    n = graph.n_vertices
-    seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
-    if seeds.size == 0:
-        raise ValueError("at least one seed vertex is required")
-    if int(seeds.min()) < 0 or int(seeds.max()) >= n:
-        raise ValueError(f"seed ids must lie in [0, {n})")
-    out_weight = _out_weight(graph)
-    dangling = out_weight == 0
-    teleport = np.zeros(n, dtype=np.float64)
-    teleport[seeds] = 1.0 / seeds.size
-    if initial_ranks is not None:
-        if initial_ranks.shape != (n,):
-            raise ValueError(
-                f"initial_ranks must have shape ({n},), "
-                f"got {initial_ranks.shape}"
-            )
-        ranks = initial_ranks.astype(np.float64, copy=True)
-        total = float(ranks.sum())
-        if total > 0:
-            ranks /= total
-    else:
-        ranks = teleport.copy()
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        share = np.where(
-            dangling, 0.0, ranks / np.maximum(out_weight, 1e-300)
-        )
-        incoming = spmv(graph, share, semiring=PLUS_TIMES, transpose=True)
-        dangling_mass = float(ranks[dangling].sum())
-        new_ranks = (1.0 - damping) * teleport + damping * (
-            incoming + dangling_mass * teleport
-        )
-        delta = float(np.abs(new_ranks - ranks).sum())
-        ranks = new_ranks
-        if delta <= tolerance:
-            converged = True
-            break
-    stats = RunStats()
-    stats.converged = converged
-    return PPRResult(
-        ranks=ranks,
-        seeds=seeds,
-        iterations=iterations,
-        converged=converged,
-        stats=stats,
-    )
-
-
-def linalg_hits(
-    graph: Graph,
-    *,
-    max_iterations: int = 100,
-    tolerance: float = 1e-8,
-) -> HITSResult:
-    """HITS as the push/pull product pair: ``auth = Aᵀ·hub``, ``hub = A·auth``."""
-    n = graph.n_vertices
-    if n == 0:
-        empty = np.empty(0)
-        return HITSResult(empty, empty, 0, True)
-    hubs = np.full(n, 1.0 / np.sqrt(n), dtype=np.float64)
-    auth = hubs.copy()
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        new_auth = spmv(graph, hubs, semiring=PLUS_TIMES, transpose=True)
-        norm = np.linalg.norm(new_auth)
-        if norm > 0:
-            new_auth /= norm
-        new_hubs = spmv(graph, new_auth, semiring=PLUS_TIMES)
-        norm = np.linalg.norm(new_hubs)
-        if norm > 0:
-            new_hubs /= norm
-        delta = max(
-            float(np.abs(new_auth - auth).max(initial=0.0)),
-            float(np.abs(new_hubs - hubs).max(initial=0.0)),
-        )
-        auth, hubs = new_auth, new_hubs
-        if delta <= tolerance:
-            converged = True
-            break
-    stats = RunStats()
-    stats.converged = converged
-    return HITSResult(
-        hubs=hubs,
-        authorities=auth,
-        iterations=iterations,
-        converged=converged,
-        stats=stats,
-    )
-
-
-# -- spmv / spgemm ------------------------------------------------------------
-
-
-def linalg_spmv(graph: Graph, x: np.ndarray) -> np.ndarray:
-    """``y = A·x`` through the kernel layer (out-edge gather)."""
-    n = graph.n_vertices
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.shape[0] != n:
-        raise ValueError(
-            f"x must have one entry per vertex ({n}), got {x.shape[0]}"
-        )
-    return spmv(graph, x, semiring=PLUS_TIMES)
+# -- spgemm ------------------------------------------------------------------
 
 
 def linalg_spgemm(a: Graph, b: Graph) -> Graph:

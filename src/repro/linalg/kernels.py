@@ -15,12 +15,14 @@ The two kernels mirror the paper's push/pull duality exactly
   masked rows), the bulk regime.
 
 Both kernels are pure NumPy (segmented scatter-reduce over the offsets
-arrays, the same searchsorted/ufunc.at pattern as
-:mod:`repro.operators.segmented`); when :mod:`scipy.sparse` is
-importable the ``(+, ×)`` dense products route through its C matvec
-instead — opportunistic acceleration, never a hard dependency.  The
-``REPRO_NO_SCIPY`` environment variable (or :func:`force_numpy`) pins
-the pure-NumPy path, which CI exercises with scipy uninstalled.
+arrays, the same pattern as :mod:`repro.operators.segmented`).  The
+unmasked ``(+, ×)`` dense product is not implemented here at all: it *is*
+the sum-aggregate every executor shares
+(:mod:`repro.operators.sum_aggregate` — scipy's C matvec when
+importable, ``np.bincount`` otherwise, bit-identical either way), and
+:func:`spmv` hands it over.  The ``REPRO_NO_SCIPY`` environment variable
+(or :func:`repro.linalg.force_numpy`) pins the pure-NumPy side, which CI exercises
+with scipy uninstalled.
 
 Kernel invocations are traced as ``linalg:spmv`` / ``linalg:spmspv``
 spans, attributed to the operator layer by the analysis engine.
@@ -28,8 +30,6 @@ spans, attributed to the operator layer by the analysis engine.
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from typing import Optional, Tuple
 
 import numpy as np
@@ -37,71 +37,19 @@ import numpy as np
 from repro.graph.graph import Graph
 from repro.observability.probe import active_probe
 from repro.linalg.semiring import PLUS_TIMES, Semiring, resolve_semiring
-
-# -- scipy gating -------------------------------------------------------------
-
-_FORCE_NUMPY = 0  # nesting depth of force_numpy() contexts
-
-
-def _scipy_sparse():
-    """The ``scipy.sparse`` module, or ``None`` when gated/absent."""
-    if _FORCE_NUMPY or os.environ.get("REPRO_NO_SCIPY"):
-        return None
-    try:
-        import scipy.sparse as sp
-    except ImportError:
-        return None
-    return sp
-
-
-def scipy_available() -> bool:
-    """Whether the scipy fast path is importable *and* not gated off."""
-    return _scipy_sparse() is not None
-
-
-@contextmanager
-def force_numpy():
-    """Pin the pure-NumPy reference path for the duration (tests)."""
-    global _FORCE_NUMPY
-    _FORCE_NUMPY += 1
-    try:
-        yield
-    finally:
-        _FORCE_NUMPY -= 1
-
-
-# -- adjacency caching --------------------------------------------------------
-
-#: Key under which the scipy CSR adjacency is cached on the graph facade.
-_SCIPY_KEY = "linalg.scipy_csr"
+from repro.operators.sum_aggregate import graph_aggregate, segment_ids
 
 
 def scipy_adjacency(graph: Graph):
     """The graph's weighted adjacency as a cached ``scipy.sparse.csr_matrix``.
 
-    ``A[u, v] = w`` for each stored edge (parallel edges fold by
-    summation, scipy's canonical duplicate handling — matching what the
-    ``(+, ×)`` kernels need).  Returns ``None`` when scipy is gated off.
-    Cached through the facade's derived-artifact cache, so repeated
-    iterations (PageRank, HITS, power iteration) build it once.
+    ``A[u, v] = w`` for each stored edge, aliasing the CSR arrays
+    (parallel edges stay separate entries; every scipy product sums
+    them, which is what the ``(+, ×)`` kernels need).  Returns ``None``
+    when scipy is gated off.  The same cached object the sum-aggregate
+    kernel multiplies by.
     """
-    sp = _scipy_sparse()
-    if sp is None:
-        return None
-
-    def build():
-        coo = graph.coo()
-        n = graph.n_vertices
-        mat = sp.csr_matrix(
-            (
-                coo.vals.astype(np.float64),
-                (coo.rows.astype(np.int64), coo.cols.astype(np.int64)),
-            ),
-            shape=(n, n),
-        )
-        return mat
-
-    return graph.derived(_SCIPY_KEY, build)
+    return graph_aggregate(graph).matrix()
 
 
 # -- the kernels --------------------------------------------------------------
@@ -149,25 +97,18 @@ def spmv(
             f"x must have one entry per vertex ({n}), got {x.shape[0]}"
         )
     rows = _masked_rows(n, mask, complement)
-    probe = active_probe()
-    with probe.span(
+    if rows is None and semiring.name == PLUS_TIMES.name:
+        # Unmasked (+, ×) is exactly the classical product: the shared
+        # sum-aggregate kernel (which opens the ``linalg:spmv`` span).
+        agg = graph_aggregate(graph)
+        return agg.scatter(x) if transpose else agg.gather(x)
+    with active_probe().span(
         "linalg:spmv",
         semiring=semiring.name,
         transpose=transpose,
         masked=mask is not None,
         rows=int(rows.shape[0]) if rows is not None else n,
     ):
-        sp = _scipy_sparse()
-        if (
-            sp is not None
-            and semiring.name == PLUS_TIMES.name
-            and rows is None
-        ):
-            # Unmasked (+, ×) is exactly the classical product: one C
-            # matvec through the cached scipy adjacency.
-            a = scipy_adjacency(graph)
-            xv = np.asarray(x, dtype=np.float64)
-            return (a.T @ xv) if transpose else (a @ xv)
         return _spmv_numpy(
             graph, x, semiring=semiring, transpose=transpose, rows=rows
         )
@@ -181,7 +122,8 @@ def _spmv_numpy(
     transpose: bool,
     rows: Optional[np.ndarray],
 ) -> np.ndarray:
-    """The always-on NumPy reference path: segmented scatter-reduce."""
+    """Segmented scatter-reduce for every product the sum-aggregate kernel
+    does not cover: masked rows, or a semiring other than (+, ×)."""
     n = graph.n_vertices
     if transpose:
         csc = graph.csc()
@@ -197,14 +139,14 @@ def _spmv_numpy(
     xv = np.asarray(x, dtype=semiring.dtype)
 
     if rows is None:
-        lo, hi = 0, int(offsets[-1])
-        if lo == hi:
+        if int(offsets[-1]) == 0:
             return out
         contrib = semiring.multiply(
             xv[targets], weights.astype(np.float64)
         ).astype(semiring.dtype, copy=False)
-        seg = (
-            np.searchsorted(offsets, np.arange(lo, hi), side="right") - 1
+        seg = graph.derived(
+            "linalg.segments." + ("csc" if transpose else "csr"),
+            lambda: segment_ids(offsets),
         )
         semiring.add.at(out, seg, contrib)
         return out

@@ -11,9 +11,10 @@ collapses into one vectorized kernel (Gunrock's fused-operator trick):
   emit improved destinations``;
 * **claim-unvisited** — BFS discovery: ``emit destinations whose level
   is unset, stamping level and parent``;
-* **sum-aggregate** — PageRank / HITS / SpMV: a dense segmented sum,
-  provided here as :func:`segmented_sum` (``np.bincount`` beats
-  ``np.add.at`` by an order of magnitude on dense index arrays).
+* **sum-aggregate** — PageRank / HITS / SpMV: the (+, ×) product, one
+  kernel for every executor in :mod:`repro.operators.sum_aggregate`;
+  :func:`segmented_sum` here is the bare dense scatter-add for callers
+  that already hold per-edge contributions (SpGEMM's collapse).
 
 Algorithms opt in by building their condition through a factory below
 (:func:`min_relax_condition`, :func:`claim_levels_condition`).  The
@@ -462,7 +463,7 @@ def claim_levels_condition(
     return condition
 
 
-# -- segmented sums (the PageRank / HITS / SpMV aggregate) -----------------------------
+# -- segmented sums ------------------------------------------------------------------
 
 
 def segmented_sum(

@@ -107,30 +107,31 @@ def test_min_relax_push_kernel_matches_dense_relaxation(proc_graph):
 
 
 def test_pagerank_range_kernel_partitions_cleanly(proc_graph):
+    """The worker kernel is the shared sum-aggregate gathered over a CSC
+    slice: any partition of the ranges reproduces the in-process scatter
+    over the CSR bit for bit, and re-running a range (what a respawned
+    worker does) overwrites its rows with the same values."""
     from repro.execution import proc_kernels
+    from repro.operators.sum_aggregate import graph_aggregate
 
     g = proc_graph
     csc = g.csc()
     n = g.n_vertices
-    ranks = np.random.default_rng(1).random(n)
-    offsets = g.csr().row_offsets
-    out_weight = np.asarray(offsets[1:] - offsets[:-1], dtype=np.float64)
-    whole = np.zeros(n, dtype=np.float64)
-    split = np.zeros(n, dtype=np.float64)
-    proc_kernels.pagerank_range(
-        csc.col_offsets, csc.row_indices, csc.values,
-        ranks, out_weight, whole, 0, n,
+    share = np.random.default_rng(1).random(n)
+    weights = csc.values.astype(np.float64)
+    whole = np.full(n, np.nan)
+    split = np.full(n, np.nan)
+    edges = proc_kernels.pagerank_range(
+        csc.col_offsets, csc.row_indices, weights, share, whole, 0, n
     )
+    assert edges == g.n_edges
     mid = n // 2
-    proc_kernels.pagerank_range(
-        csc.col_offsets, csc.row_indices, csc.values,
-        ranks, out_weight, split, 0, mid,
-    )
-    proc_kernels.pagerank_range(
-        csc.col_offsets, csc.row_indices, csc.values,
-        ranks, out_weight, split, mid, n,
-    )
-    np.testing.assert_allclose(split, whole)
+    for lo, hi in ((0, mid), (mid, mid), (mid, n), (0, mid)):  # one re-run
+        proc_kernels.pagerank_range(
+            csc.col_offsets, csc.row_indices, weights, share, split, lo, hi
+        )
+    assert np.array_equal(split, whole)
+    assert np.array_equal(whole, graph_aggregate(g).scatter(share))
 
 
 # -- end-to-end conformance against seq ------------------------------------------------
@@ -175,7 +176,7 @@ def test_pagerank_matches_vector(proc_graph):
     a = pagerank(proc_graph, policy="par_vector")
     b = pagerank(proc_graph, policy=PROC2)
     assert a.iterations == b.iterations
-    np.testing.assert_allclose(a.ranks, b.ranks, atol=1e-12)
+    assert np.array_equal(a.ranks, b.ranks)  # one kernel: bit-identical
 
 
 def test_fusion_off_degrades_to_vector_path(proc_graph):
@@ -231,6 +232,30 @@ def test_worker_sigkill_is_survived(proc_graph):
     time.sleep(0.05)
     got = bfs(proc_graph, 0, policy=PROC2).levels
     assert np.array_equal(expected, got)
+    assert pool.restarts == before + 1
+
+
+def test_worker_sigkill_mid_pagerank_is_survived(proc_graph):
+    """A worker killed while PageRank rounds are in flight: the pool
+    respawns it and re-dispatches the same ``pagerank_range``; the
+    range's rows are rewritten from the same mirrored ``share``, so the
+    ranks still equal the in-process run bit for bit."""
+    import threading
+
+    kwargs = dict(tolerance=0, max_iterations=400)
+    expected = pagerank(proc_graph, policy="par_vector", **kwargs)
+    pool = get_proc_pool(2)
+    pagerank(proc_graph, policy=PROC2, max_iterations=2)  # pool warm
+    before = pool.restarts
+    victim = pool.worker_pids()[1]
+    killer = threading.Timer(0.03, os.kill, (victim, signal.SIGKILL))
+    killer.start()
+    try:
+        got = pagerank(proc_graph, policy=PROC2, **kwargs)
+    finally:
+        killer.join()
+    assert got.iterations == expected.iterations == 400
+    assert np.array_equal(got.ranks, expected.ranks)
     assert pool.restarts == before + 1
 
 
