@@ -8,7 +8,7 @@ set of the ``gunrock/essentials`` library the paper points to:
 ========================== ===========================================
 module                      algorithm(s)
 ========================== ===========================================
-:mod:`~repro.algorithms.sssp`      SSSP (Listing 4), async SSSP, delta-stepping
+:mod:`~repro.algorithms.sssp`      SSSP (Listing 4 + near-far), async SSSP, delta-stepping
 :mod:`~repro.algorithms.bfs`       push / pull / direction-optimized BFS
 :mod:`~repro.algorithms.pagerank`  PageRank (BSP)
 :mod:`~repro.algorithms.cc`        connected components (label prop + pointer jumping)
@@ -24,7 +24,6 @@ module                      algorithm(s)
 """
 
 from repro.algorithms.sssp import sssp, sssp_async, sssp_delta_stepping, SSSPResult
-from repro.algorithms.nearfar import sssp_near_far
 from repro.algorithms.sssp_pull import sssp_pull
 from repro.algorithms.community import (
     label_propagation_communities,
@@ -52,7 +51,6 @@ from repro.algorithms.astar import astar, euclidean_heuristic, grid_heuristic, A
 
 __all__ = [
     "sssp",
-    "sssp_near_far",
     "sssp_pull",
     "label_propagation_communities",
     "modularity",

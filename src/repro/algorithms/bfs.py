@@ -16,16 +16,12 @@ from typing import Union
 
 import numpy as np
 
-from repro.frontier.dense import DenseFrontier
 from repro.frontier.sparse import SparseFrontier
 from repro.graph.graph import Graph
 from repro.loop.enactor import Enactor
 from repro.operators.advance import neighbors_expand
-from repro.operators.fused import (
-    claim_levels_condition,
-    dedup_ids,
-    fused_kernel_of,
-)
+from repro.operators.fused import claim_levels_condition, fused_kernel_of
+from repro.operators.uniquify import uniquify
 from repro.execution.policy import (
     ExecutionPolicy,
     VectorPolicy,
@@ -125,6 +121,7 @@ def bfs(
     discover = claim_levels_condition(levels, parents, unreached=UNREACHED)
 
     enactor = Enactor(graph)
+    ws = enactor.workspace
 
     # The fused claim kernel (vectorized policy) and every pull overload
     # emit deduplicated frontiers already; only the unfused push paths
@@ -134,23 +131,9 @@ def bfs(
         and fused_kernel_of(discover) is not None
     )
 
-    def _dedup(out):
-        # Dedup via the pooled bitmap round-trip; output stays a sorted
-        # set, same as the np.unique formulation, minus the sort.
-        ids = (
-            out.indices_view()
-            if isinstance(out, SparseFrontier)
-            else out.to_indices()
-        )
-        f = SparseFrontier(n)
-        f.add_many_trusted(dedup_ids(ids, n, enactor.workspace))
-        return f
-
     def push_step(frontier, state):
-        out = neighbors_expand(
-            policy, graph, frontier, discover, workspace=enactor.workspace
-        )
-        return out if emits_sets else _dedup(out)
+        out = neighbors_expand(policy, graph, frontier, discover, workspace=ws)
+        return out if emits_sets else uniquify(policy, out, workspace=ws)
 
     def pull_step(frontier, state):
         candidates = np.nonzero(levels == UNREACHED)[0].astype(VERTEX_DTYPE)
@@ -161,9 +144,9 @@ def bfs(
             discover,
             direction="pull",
             candidates=candidates,
-            workspace=enactor.workspace,
+            workspace=ws,
         )
-        return out if emits_sets else _dedup(out)
+        return out if emits_sets else uniquify(policy, out, workspace=ws)
 
     if direction == "auto":
 

@@ -140,45 +140,46 @@ class Enactor:
                     f"without converging (frontier size "
                     f"{frontier.size() if frontier is not None else 'n/a'})"
                 )
-            in_size = frontier.size() if frontier is not None else 0
-            edges_touched = 0
-            if self.collect_stats:
-                if frontier is not None and in_size:
-                    active = (
-                        frontier.indices_view()
-                        if isinstance(frontier, SparseFrontier)
-                        else frontier.to_indices()
-                    )
-                    edges_touched = int(degrees.take(active).sum())
-                t0 = time.perf_counter()
-            with probe.span(
-                "superstep",
-                iteration=state.iteration,
-                frontier_size=in_size,
-                edges_expanded=edges_touched,
-            ) as span:
+            # The per-superstep bookkeeping runs inside the span too, so a
+            # traced run books it to the loop layer instead of leaving it
+            # unattributed between spans.
+            with probe.span("superstep", iteration=state.iteration) as span:
+                in_size = frontier.size() if frontier is not None else 0
+                edges_touched = 0
+                if self.collect_stats:
+                    if frontier is not None and in_size:
+                        active = (
+                            frontier.indices_view()
+                            if isinstance(frontier, SparseFrontier)
+                            else frontier.to_indices()
+                        )
+                        edges_touched = int(degrees.take(active).sum())
+                    t0 = time.perf_counter()
                 frontier = self._run_step(step, frontier, state, resilience)
                 if probe.enabled:
-                    # Superstep summary hook: the output frontier size
-                    # closes the loop for the analysis engine's frontier
+                    # Superstep summary: the output frontier size closes
+                    # the loop for the analysis engine's frontier
                     # timeline.  Guarded so the disabled path never pays
                     # for frontier.size().
+                    span.set("frontier_size", in_size)
+                    span.set("edges_expanded", edges_touched)
                     span.set(
                         "output_frontier_size",
                         frontier.size() if frontier is not None else 0,
                     )
-            state.iteration += 1
-            state.frontier = frontier
-            if self.collect_stats:
-                stats.record(
-                    IterationStats(
-                        iteration=state.iteration - 1,
-                        frontier_size=in_size,
-                        edges_touched=edges_touched,
-                        seconds=time.perf_counter() - t0,
+                state.iteration += 1
+                state.frontier = frontier
+                if self.collect_stats:
+                    stats.record(
+                        IterationStats(
+                            iteration=state.iteration - 1,
+                            frontier_size=in_size,
+                            edges_touched=edges_touched,
+                            seconds=time.perf_counter() - t0,
+                        )
                     )
-                )
-            if self.convergence(state):
+                converged = self.convergence(state)
+            if converged:
                 stats.converged = True
                 return self._finish(stats, probe)
             if (

@@ -309,6 +309,8 @@ class SuperstepRow:
     direction: Optional[str] = None
     fused: Optional[bool] = None
     representation: Optional[str] = None
+    #: Near/far split threshold after the step (``frontier:split``).
+    threshold: Optional[float] = None
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-friendly form; ``None`` fields are omitted."""
@@ -511,11 +513,13 @@ class AnalysisReport:
         out.append("")
         if self.supersteps:
             out.append(f"frontier timeline ({len(self.supersteps)} supersteps)")
+            rows = self.supersteps
+            split = any(r.threshold is not None for r in rows)
             out.append(
                 f"  {'step':>5} {'frontier':>9} {'out':>9} {'edges':>9} "
                 f"{'dens':>6} {'dir':<5} {'fused':<5} {'repr':<7} {'ms':>8}"
+                + (f" {'threshold':>10}" if split else "")
             )
-            rows = self.supersteps
             shown = rows
             if len(rows) > max_timeline_rows:
                 half = max_timeline_rows // 2
@@ -526,6 +530,7 @@ class AnalysisReport:
                     out.append(f"  ... ({len(rows) - len(shown)} rows elided)")
                 previous_index = row.index
                 dens = f"{row.density:.1%}" if row.density is not None else "-"
+                thr = "-" if row.threshold is None else f"{row.threshold:.6g}"
                 out.append(
                     f"  {row.iteration!s:>5} "
                     f"{row.frontier_size if row.frontier_size is not None else '-':>9} "
@@ -535,6 +540,7 @@ class AnalysisReport:
                     f"{('yes' if row.fused else 'no') if row.fused is not None else '-':<5} "
                     f"{row.representation or '-':<7} "
                     f"{row.seconds * 1e3:>8.3f}"
+                    + (f" {thr:>10}" if split else "")
                 )
             if self.direction_flips:
                 out.append(f"  direction flips: {self.direction_flips}")
@@ -689,6 +695,9 @@ def analyze_spans(
         advance = next(
             (c for c in _walk(n) if c.name == "operator:advance"), None
         )
+        split = next((c for c in _walk(n) if c.name == "frontier:split"), None)
+        if split is not None:
+            row.threshold = split.attrs.get("threshold")
         if advance is not None:
             row.direction = advance.attrs.get("direction")
             row.fused = advance.attrs.get("fused")

@@ -22,6 +22,7 @@ from repro.frontier.base import Frontier, FrontierKind
 from repro.frontier.dense import DenseFrontier
 from repro.frontier.sparse import SparseFrontier
 from repro.execution.policy import ExecutionPolicy, resolve_policy
+from repro.operators.fused import dedup_ids, sort_unique
 from repro.types import VERTEX_DTYPE
 
 
@@ -34,11 +35,11 @@ def uniquify(
 ) -> Frontier:
     """Return a duplicate-free sparse frontier with the same active set.
 
-    ``strategy``: ``"sort"``, ``"bitmap"``, or ``"auto"`` (bitmap unless
-    the frontier is a sliver of capacity — the scatter/gather round-trip
-    beats the sort well before 10% occupancy, and with a ``workspace``
-    the flag buffer is pooled so bitmap wins from ~64 ids up).  Dense
-    frontiers are already duplicate-free and are returned unchanged.
+    ``strategy``: ``"sort"``, ``"bitmap"``, or ``"auto"`` (the measured
+    crossover of :func:`~repro.operators.fused.dedup_ids`: sort below a
+    quarter of capacity, bitmap above, its flags pooled in
+    ``workspace``).  Dense frontiers are already duplicate-free and are
+    returned unchanged.
     Both strategies produce the identical sorted output.
     """
     resolve_policy(policy)  # validated for interface uniformity
@@ -56,21 +57,9 @@ def uniquify(
     if indices.size == 0:
         return out
     if strategy == "auto":
-        strategy = (
-            "bitmap"
-            if indices.size > max(64, frontier.capacity // 1024)
-            else "sort"
-        )
-    if strategy == "sort":
-        # np.unique's core, inlined: sort then drop adjacent repeats.
-        # Identical output, but avoids np.unique's lazy numpy.ma import
-        # — a one-time ~20ms hit that would land inside the first timed
-        # superstep of a cold process.
-        s = np.sort(indices)
-        keep = np.empty(s.shape, dtype=bool)
-        keep[0] = True
-        np.not_equal(s[1:], s[:-1], out=keep[1:])
-        out.add_many_trusted(s[keep])
+        out.add_many_trusted(dedup_ids(indices, frontier.capacity, workspace))
+    elif strategy == "sort":
+        out.add_many_trusted(sort_unique(indices))
     elif strategy == "bitmap":
         if workspace is not None:
             flags = workspace.cleared("uniquify.flags", frontier.capacity, bool)

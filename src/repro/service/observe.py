@@ -44,7 +44,7 @@ from repro.observability.probe import NULL_PROBE, Probe, install_probe, uninstal
 
 #: Span cap on one query's embedded/dumped trace: keeps ledger lines and
 #: incident files bounded for pathological queries.  Truncation keeps
-#: the earliest spans plus the root.
+#: the earliest-opened spans, the root among them.
 MAX_TRACE_SPANS = 512
 
 #: Buffer length above which the tracer is cleared between queries
@@ -270,7 +270,10 @@ class ServiceObservability:
                 picked.append(span)
         picked.reverse()  # back to completion order (root last)
         if len(picked) > self.max_trace_spans:
-            picked = picked[: self.max_trace_spans - 1] + [picked[-1]]
+            # Keep the first-opened spans: a parent is opened before its
+            # children, so no kept span loses its parent (root included).
+            cut = sorted(s.span_id for s in picked)[self.max_trace_spans - 1]
+            picked = [s for s in picked if s.span_id <= cut]
         return picked
 
     @staticmethod

@@ -6,6 +6,8 @@ regressions and int32 overflow-type bugs that tiny graphs never see.
 Kept under ~30s by using only the bulk code paths.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -50,7 +52,9 @@ class TestAtScale:
             assert np.all(r.distances[nbrs] <= r.distances[v] + wts + 1e-3)
 
     def test_sssp_grid_diameter_supersteps(self, big_grid):
-        r = sssp(big_grid, 0)
+        # Listing 4's single frontier (delta=inf): one superstep per hop
+        # of the weighted shortest-path tree's depth, give or take.
+        r = sssp(big_grid, 0, delta=math.inf)
         assert 128 <= r.stats.num_iterations <= 2 * 128 + 2
 
     def test_bfs_direction_optimized(self, big_rmat):
