@@ -5,8 +5,6 @@ Usage:
     pytest benchmarks/ --benchmark-only --benchmark-json=results.json
     python benchmarks/report.py results.json       # per-experiment tables
     python benchmarks/report.py --json BENCH_PR2.json   # write a trajectory entry
-    python benchmarks/report.py --pr8 BENCH_PR8.json [--trials N]
-                                                        # par vs par_proc R-MAT sweep
     python benchmarks/report.py --check BENCH_PR2.json  # schema-validate one
     python benchmarks/report.py --trajectory            # render all BENCH_*.json
     python benchmarks/report.py --compare BENCH_PR3.json BENCH_PR4.json
@@ -175,111 +173,6 @@ def collect_entry(label: str = "", trials: int = TRAJECTORY_TRIALS) -> dict:
     return entry
 
 
-# -- PR8: multiprocess (par_proc) vs threaded policies on R-MAT ------------------------
-
-#: The PR8 sweep: scale-16 and scale-18 R-MAT (Graph500 parameters,
-#: weighted) with each algorithm run under the threaded policies it is
-#: feasible under plus ``par_proc``.  ``sssp`` omits plain ``par``: that
-#: policy's scalar condition path is a Python per-edge loop, which at
-#: millions of edges is not a baseline anyone would deploy — ``par_vector``
-#: is the best threaded contender and the honest comparison point.
-PR8_WORKLOADS = [
-    {"algorithm": "bfs", "scale": 16,
-     "policies": ("par", "par_vector", "par_proc")},
-    {"algorithm": "sssp", "scale": 16,
-     "policies": ("par_vector", "par_proc")},
-    {"algorithm": "pagerank", "scale": 16,
-     "policies": ("par_vector", "par_proc")},
-    {"algorithm": "bfs", "scale": 18,
-     "policies": ("par", "par_vector", "par_proc")},
-    {"algorithm": "sssp", "scale": 18,
-     "policies": ("par_vector", "par_proc")},
-    {"algorithm": "pagerank", "scale": 18,
-     "policies": ("par_vector", "par_proc")},
-]
-
-#: Iteration cap for the PR8 PageRank runs: throughput comparison needs a
-#: fixed amount of work per policy, not convergence (which is identical
-#: across policies anyway — the conformance matrix checks that).
-PR8_PAGERANK_ITERATIONS = 20
-
-
-def _pr8_runner(algorithm: str):
-    """Runner for :func:`profile_algorithm` honoring the iteration cap."""
-    if algorithm != "pagerank":
-        return None
-
-    def run(graph, source, policy, num_workers):
-        from repro.algorithms import pagerank
-
-        return pagerank(
-            graph, policy=policy, max_iterations=PR8_PAGERANK_ITERATIONS
-        )
-
-    return run
-
-
-def collect_pr8_entry(label: str = "", trials: int = 3) -> dict:
-    """Run the PR8 par-vs-par_proc sweep; return a trajectory entry.
-
-    Each (workload, policy) cell runs ``trials`` times on a shared
-    seeded graph (one R-MAT instance per scale — generation dominates at
-    scale 18 and the graph is immutable) and keeps the fastest run.
-    Entries record the worker count and the machine's core count:
-    ``par_proc`` is a multicore policy, and a single-core container
-    (like CI) measures its IPC overhead, not its speedup — consumers
-    must read ``cores`` before interpreting the ratio.
-    """
-    _bootstrap_repro()
-    from repro.execution.proc_pool import default_proc_workers
-    from repro.graph.generators import rmat
-    from repro.observability.profile import profile_algorithm
-
-    graphs = {}
-    workloads = []
-    for spec in PR8_WORKLOADS:
-        scale = spec["scale"]
-        if scale not in graphs:
-            graphs[scale] = rmat(scale, 16, weighted=True, seed=0)
-        graph = graphs[scale]
-        runner = _pr8_runner(spec["algorithm"])
-        for policy in spec["policies"]:
-            best = None
-            for _ in range(max(1, trials)):
-                report = profile_algorithm(
-                    graph,
-                    spec["algorithm"],
-                    policy=policy,
-                    trace=False,
-                    runner=runner,
-                )
-                entry = report.summary_metrics()
-                if best is None or entry["seconds"] < best["seconds"]:
-                    best = entry
-            best["algorithm"] = spec["algorithm"]
-            best["name"] = f"{spec['algorithm']}_rmat{scale}/{policy}"
-            best["scale"] = scale
-            best["policy"] = policy
-            best["trials"] = max(1, trials)
-            best["workers"] = default_proc_workers()
-            best["cores"] = os.cpu_count() or 1
-            workloads.append(best)
-            print(
-                f"  {best['name']:<28} {best['seconds'] * 1e3:>9.1f} ms"
-                + (f"  {best['mteps']:.1f} MTEPS" if "mteps" in best else ""),
-                file=sys.stderr,
-            )
-    entry = {
-        "schema": BENCH_SCHEMA,
-        "label": label,
-        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "cores": os.cpu_count() or 1,
-        "workloads": workloads,
-    }
-    _ledger_entry(entry)
-    return entry
-
-
 def _ledger_entry(entry: dict) -> None:
     """Best-effort run-ledger record of a trajectory collection.
 
@@ -377,30 +270,6 @@ def main(argv=None) -> int:
             return 2
         entry = collect_entry(
             label=os.path.splitext(os.path.basename(argv[1]))[0]
-        )
-        with open(argv[1], "w", encoding="utf-8") as fh:
-            json.dump(entry, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {argv[1]} ({len(entry['workloads'])} workloads)")
-        return 0
-    if argv and argv[0] == "--pr8":
-        trials = 3
-        if "--trials" in argv:
-            i = argv.index("--trials")
-            try:
-                trials = int(argv[i + 1])
-            except (IndexError, ValueError):
-                print("--trials requires an integer", file=sys.stderr)
-                return 2
-            del argv[i : i + 2]
-        if len(argv) != 2:
-            print(
-                "usage: report.py --pr8 OUT.json [--trials N]", file=sys.stderr
-            )
-            return 2
-        entry = collect_pr8_entry(
-            label=os.path.splitext(os.path.basename(argv[1]))[0],
-            trials=trials,
         )
         with open(argv[1], "w", encoding="utf-8") as fh:
             json.dump(entry, fh, indent=2, sort_keys=True)

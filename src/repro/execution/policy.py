@@ -130,14 +130,14 @@ class ProcPolicy(VectorPolicy):
 
     Supersteps run as bulk-synchronous rounds across a persistent pool
     of worker *processes* (no shared GIL): the graph and per-round state
-    live in ``multiprocessing.shared_memory``, each worker expands a
-    chunk of the frontier, and boundary updates merge back through the
-    comm mailbox + combiner machinery.  Subclassing the vectorized
-    policy is deliberate — wherever a round cannot be sharded (no fused
-    kernel for the condition, fusion disabled, or already inside a
-    worker process) the policy degrades to the in-process vectorized
-    overload, so every algorithm that accepts ``par_vector`` accepts
-    ``par_proc`` unmodified.
+    live in ``multiprocessing.shared_memory``, each worker owns a
+    contiguous destination range and folds every update aimed at it
+    (owner computes), and the parent concatenates the ranges' winners.
+    Subclassing the vectorized policy is deliberate — wherever a round
+    cannot be sharded (no fused kernel for the condition, fusion
+    disabled, or already inside a worker process) the policy degrades to
+    the in-process vectorized overload, so every algorithm that accepts
+    ``par_vector`` accepts ``par_proc`` unmodified.
 
     ``num_workers`` here means worker *processes*; ``None`` uses
     ``REPRO_NUM_WORKERS`` or every CPU (see

@@ -6,14 +6,14 @@ supersteps and algorithms (spawn start-up costs ~1s; a superstep costs
 milliseconds).  Each worker runs :func:`_worker_main` — a small command
 loop over a duplex pipe that attaches shared-memory views
 (:mod:`repro.execution.shm`) and executes the round kernels in
-:mod:`repro.execution.proc_kernels` on its partition.
+:mod:`repro.execution.proc_kernels` on the destination range it owns.
 
 Protocol (control messages are tiny dicts on the pipe; bulk data always
-travels through shared memory or as the compact update buffers the
-round returns):
+travels through shared memory or as the range's ``(winners, values)``
+the round returns):
 
 * ``{"cmd": "round", "id", "fn", "args", "retire"}`` → ``{"id", "ok",
-  "dsts", "vals", "busy", "edges"}`` — run one partition round.
+  "winners", "values", "busy"}`` — run one partition round.
   ``retire`` lists shared segments whose cached attachments must drop.
 * ``{"cmd": "ping"}`` → liveness probe; ``{"cmd": "exit"}`` → drain and
   leave.
@@ -24,10 +24,10 @@ round returns):
 performance knob.
 
 **Supervision.**  Rounds are idempotent by design — workers do not
-mutate shared algorithm state (PageRank's disjoint row writes are
-overwrite-safe), so a worker that dies mid-round (crash, OOM-kill,
-SIGKILL) is respawned and its round re-dispatched, bounded by a respawn
-budget.  Replies are tagged with round ids so a reply from an abandoned
+mutate shared algorithm state (they fold in private scratch; PageRank's
+disjoint row writes are overwrite-safe), so a worker that dies
+mid-round (crash, OOM-kill, SIGKILL) is respawned and its round
+re-dispatched, bounded by a respawn budget.  Replies are tagged with round ids so a reply from an abandoned
 round (e.g. after cancellation) is discarded instead of being mistaken
 for the current one.
 
@@ -63,10 +63,8 @@ _MAX_RESPAWNS_PER_ROUND = 8
 
 #: Worker-side kernel registry (names cross the pipe, functions do not).
 _KERNELS = {
-    "min_relax_push": proc_kernels.min_relax_push,
-    "min_relax_pull": proc_kernels.min_relax_pull,
-    "claim_push": proc_kernels.claim_push,
-    "claim_pull": proc_kernels.claim_pull,
+    "min_relax": proc_kernels.min_relax_range,
+    "claim": proc_kernels.claim_range,
     "pagerank_range": proc_kernels.pagerank_range,
 }
 
@@ -101,20 +99,11 @@ def _start_method() -> str:
 
 
 def _resolve_args(args: Dict) -> Dict:
-    """Replace shared-memory markers with attached views:
-    ``("shm", descriptor)`` is a whole array, ``("shm_slice",
-    descriptor, lo, hi)`` a zero-copy slice of one (a worker's chunk of
-    the round's work list — the full list ships once, each worker maps
-    its own window)."""
+    """Replace ``("shm", descriptor)`` markers with attached views."""
     out = {}
     for key, value in args.items():
-        if isinstance(value, tuple) and value:
-            if value[0] == "shm" and len(value) == 2:
-                out[key] = shm.attach(value[1])
-                continue
-            if value[0] == "shm_slice" and len(value) == 4:
-                out[key] = shm.attach(value[1])[value[2] : value[3]]
-                continue
+        if isinstance(value, tuple) and len(value) == 2 and value[0] == "shm":
+            value = shm.attach(value[1])
         out[key] = value
     return out
 
@@ -146,15 +135,14 @@ def _worker_main(rank: int, conn) -> None:  # pragma: no cover - child process
         t0 = time.perf_counter()
         try:
             fn = _KERNELS[msg["fn"]]
-            result = fn(**_resolve_args(msg["args"]))
-            busy = time.perf_counter() - t0
-            if msg["fn"] == "pagerank_range":
-                reply = {"id": msg["id"], "ok": True, "dsts": None,
-                         "vals": None, "edges": int(result), "busy": busy}
+            args = _resolve_args(msg["args"])
+            if fn is proc_kernels.pagerank_range:
+                fn(**args)  # writes its rows of the shared output
+                winners = values = None
             else:
-                dsts, vals = result
-                reply = {"id": msg["id"], "ok": True, "dsts": dsts,
-                         "vals": vals, "edges": 0, "busy": busy}
+                winners, values = fn(**args)
+            reply = {"id": msg["id"], "ok": True, "winners": winners,
+                     "values": values, "busy": time.perf_counter() - t0}
         except Exception as exc:  # surface, don't die: the round failed
             reply = {"id": msg["id"], "ok": False,
                      "error": f"{type(exc).__name__}: {exc}",

@@ -13,7 +13,9 @@ Chrome trace file — the engine reconstructs the span tree and derives:
   *between* top-level spans is the enactor's own bookkeeping
   (stats collection, convergence checks) and is attributed to ``loop``,
   tracked separately as :attr:`AnalysisReport.untraced_seconds` so the
-  convention stays visible;
+  convention stays visible.  A ``par_proc`` round's workers overlap, so
+  its longest ``proc:task`` is booked to ``operator`` and the rest of
+  the ``proc:round`` to ``comm``;
 * the **critical path** — for each driver-thread top-level span, the
   chain formed by repeatedly descending into the heaviest child; the
   aggregate names the dominant call chain the way Gunrock's
@@ -72,6 +74,8 @@ _SUPERSTEP_NAMES = ("superstep", "bucket")
 
 def layer_of(name: str) -> str:
     """The framework layer a span name belongs to."""
+    if name == "proc:task":
+        return "operator"  # a worker's kernel interval (see analyze_spans)
     prefix = name.split(":", 1)[0]
     return LAYER_OF_PREFIX.get(prefix, "other")
 
@@ -605,8 +609,24 @@ def analyze_spans(
     # Per-layer self-time attribution (exact: sums to total span time).
     layers: Dict[str, float] = {layer: 0.0 for layer in LAYERS}
     by_name: Dict[str, float] = defaultdict(float)
+    rounds = {n.span_id for n in nodes if n.name == "proc:round"}
     for n in nodes:
+        if n.name == "proc:task" and n.parent_id in rounds:
+            continue  # booked through its round below
         self_time = n.self_time
+        if n.name == "proc:round":
+            # Workers run concurrently: the longest task is the round's
+            # kernel time, the rest of the round transfer and barrier.
+            # The other tasks overlap it and show only in the worker
+            # table, so the layers still sum to wall.
+            tasks = [c.duration for c in n.children if c.name == "proc:task"]
+            own = max(0.0, n.duration - sum(
+                c.duration for c in n.children if c.name != "proc:task"
+            ))
+            kernel = min(max(tasks, default=0.0), own)
+            layers[layer_of("proc:task")] += kernel
+            by_name["proc:task"] += kernel
+            self_time = own - kernel
         layers[layer_of(n.name)] += self_time
         by_name[n.name] += self_time
     # Driver-thread time between top-level spans is the enactor's own

@@ -26,6 +26,12 @@ instead of the generic gather → condition → scatter pipeline.  Every
 other policy ignores the kernel and runs the condition unchanged, so
 fusion never forks semantics.
 
+Each kernel body is defined once, over raw arrays and a destination
+range (:func:`relax_push`, :func:`relax_pull`, :func:`claim_push`,
+:func:`claim_pull`): the in-process kernels call it over the whole
+graph, each ``par_proc`` worker over the slice of the graph holding the
+in-edges of the range it owns (:mod:`repro.execution.proc_kernels`).
+
 The same module holds the frontier-adaptive dispatch heuristics the
 enactor layer uses (§III-C's direction choice, made per-iteration):
 :func:`choose_direction` is the Beamer alpha/beta push↔pull rule driven
@@ -104,13 +110,11 @@ def fused_kernel_of(condition: Callable) -> Optional["FusedKernel"]:
 # -- output plumbing (trusted: ids come from the graph's own arrays) -----------
 
 
-def _emit(output: Frontier, ids: np.ndarray) -> Frontier:
+def emit(output: Frontier, ids: np.ndarray) -> Frontier:
     """Append ``ids`` (already-validated vertex ids) to ``output``."""
     if isinstance(output, SparseFrontier):
         output.add_many_trusted(ids)
-    elif isinstance(output, DenseFrontier):
-        output.add_many(ids)
-    else:  # queue or exotic frontier: generic path
+    else:  # dense, queue or exotic frontier: generic path
         output.add_many(ids)
     return output
 
@@ -227,7 +231,9 @@ def dedup_ids(
     return np.nonzero(flags)[0].astype(VERTEX_DTYPE, copy=False)
 
 
-def _active_flags(frontier: Frontier, n: int, workspace: Optional[Workspace]):
+def active_flags(
+    frontier: Frontier, n: int, workspace: Optional[Workspace] = None
+) -> np.ndarray:
     """Dense bool view of a frontier's active set (pooled when possible)."""
     if isinstance(frontier, DenseFrontier):
         return frontier.flags_view()
@@ -243,6 +249,167 @@ def _active_flags(frontier: Frontier, n: int, workspace: Optional[Workspace]):
     if idx.size:
         flags[idx] = True
     return flags
+
+
+def _candidate_ids(n: int, candidates: Optional[np.ndarray]) -> np.ndarray:
+    if candidates is None:
+        return np.arange(n, dtype=VERTEX_DTYPE)
+    return np.asarray(candidates, dtype=VERTEX_DTYPE).ravel()
+
+
+# -- array-level kernel bodies -------------------------------------------------------
+#
+# One definition of each traversal kernel, over raw arrays and a
+# *destination range* starting at ``lo``: the in-process kernels below
+# call them over the whole graph (``lo = 0``), each ``par_proc`` worker
+# over its own slice (:mod:`repro.execution.proc_kernels`).  State
+# arrays (``values`` / ``levels``) are always whole, read for source
+# values; destinations are range-local ids.  Every body returns the
+# sorted unique range-local winners.  ``weights=None`` relaxes unweighted.
+
+_NO_WINNERS = np.empty(0, dtype=VERTEX_DTYPE)
+
+
+def _push_edges(offsets, targets, vertices, workspace):
+    """``(edge slots, range-local destinations, per-vertex counts)`` of
+    ``vertices``' out-edges in a CSR (or slice), or ``None``."""
+    seg, counts = _gather_segments(offsets, vertices, workspace)
+    if seg is None:
+        return None
+    if workspace is not None:
+        return seg, workspace.take("fused.dsts", targets, seg), counts
+    return seg, targets.take(seg), counts
+
+
+def _pull_edges(offsets, sources, active, vertices, workspace):
+    """``(edge slots, sources, range-local destinations)`` of the
+    in-edges from ``active`` sources of range-local ``vertices``, over a
+    CSC column slice starting at the range, or ``None``."""
+    seg, counts = _gather_segments(offsets, vertices, workspace)
+    if seg is None:
+        return None
+    srcs = sources.take(seg)
+    live = active.take(srcs)
+    if not live.any():
+        return None
+    dsts = vertices.repeat(counts).compress(live)
+    return seg.compress(live), srcs.compress(live), dsts
+
+
+def _fold_min(current, dsts, cand, out, workspace):
+    """Min-fold the candidates that beat ``current`` (the pre-round
+    values of the range) into ``out`` — ``current`` itself when ``None``,
+    else private scratch whose touched slots are seeded here."""
+    keep = cand < current.take(dsts)
+    winners = dsts.compress(keep)
+    if not winners.size:
+        return _NO_WINNERS
+    cand = cand.compress(keep)
+    if out is None:
+        out = current
+    else:
+        out[winners] = cand
+    np.minimum.at(out, winners, cand)
+    return dedup_ids(winners, out.shape[0], workspace)
+
+
+def _claim(current, dsts, sources_of, parents, unreached, workspace):
+    """Claim the destinations still ``unreached`` in ``current`` (the
+    range's pre-round levels), writing each one's source into
+    ``parents`` — last write in edge order wins."""
+    fresh = current.take(dsts) == unreached
+    claimed = dsts.compress(fresh)
+    if not claimed.size:
+        return _NO_WINNERS
+    parents[claimed] = sources_of(fresh)
+    return dedup_ids(claimed, parents.shape[0], workspace)
+
+
+def relax_push(
+    offsets: np.ndarray, targets: np.ndarray, weights: Optional[np.ndarray],
+    values: np.ndarray, vertices: np.ndarray, *, lo: int = 0,
+    mask: Optional[np.ndarray] = None, edge_ids: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None, workspace: Optional[Workspace] = None,
+) -> np.ndarray:
+    """Min-relax ``vertices``' out-edges into a destination range.
+
+    ``offsets`` / ``targets`` / ``weights`` are a CSR over every source
+    whose targets are range-local: the whole graph's, or one worker's
+    slice holding only the in-edges of its range.  ``mask`` is indexed
+    by CSR edge id; ``edge_ids`` maps a slice's edges back to those ids
+    (``None``: the arrays *are* the CSR).  Improved values are folded
+    into ``out`` (``None``: ``values[lo:]`` in place).
+    """
+    edges = _push_edges(offsets, targets, vertices, workspace)
+    if edges is None:
+        return _NO_WINNERS
+    seg, dsts, counts = edges
+    # Gather per-vertex then repeat: k reads + one repeat instead of
+    # a length-E fancy gather through a repeated source array.
+    cand = values.take(vertices).repeat(counts)
+    if weights is not None:
+        cand += weights.take(seg)
+    if mask is not None:
+        live = mask.take(seg if edge_ids is None else edge_ids.take(seg))
+        dsts = dsts.compress(live)
+        cand = cand.compress(live)
+    return _fold_min(values[lo:], dsts, cand, out, workspace)
+
+
+def relax_pull(
+    offsets: np.ndarray, sources: np.ndarray, weights: Optional[np.ndarray],
+    values: np.ndarray, active: np.ndarray, vertices: np.ndarray, *,
+    lo: int = 0, out: Optional[np.ndarray] = None,
+    workspace: Optional[Workspace] = None,
+) -> np.ndarray:
+    """Min-relax range-local ``vertices``' in-edges from the ``active``
+    sources over a CSC column slice starting at ``lo`` (the whole CSC
+    when ``lo = 0``); ``out`` as in :func:`relax_push`."""
+    edges = _pull_edges(offsets, sources, active, vertices, workspace)
+    if edges is None:
+        return _NO_WINNERS
+    seg, srcs, dsts = edges
+    cand = values.take(srcs)
+    if weights is not None:
+        cand += weights.take(seg)
+    return _fold_min(values[lo:], dsts, cand, out, workspace)
+
+
+def claim_push(
+    offsets: np.ndarray, targets: np.ndarray, levels: np.ndarray,
+    vertices: np.ndarray, parents: np.ndarray, *, lo: int = 0,
+    unreached: int = -1, workspace: Optional[Workspace] = None,
+) -> np.ndarray:
+    """Claim the range's unreached children of ``vertices`` (arrays as
+    in :func:`relax_push`) into the range-local ``parents``.  A slice
+    keeps every destination's edges in CSR order, so its last-write
+    parent is the whole graph's."""
+    edges = _push_edges(offsets, targets, vertices, workspace)
+    if edges is None:
+        return _NO_WINNERS
+    _, dsts, counts = edges
+    return _claim(
+        levels[lo:], dsts, lambda fresh: vertices.repeat(counts).compress(fresh),
+        parents, unreached, workspace,
+    )
+
+
+def claim_pull(
+    offsets: np.ndarray, sources: np.ndarray, levels: np.ndarray,
+    active: np.ndarray, vertices: np.ndarray, parents: np.ndarray, *,
+    lo: int = 0, unreached: int = -1, workspace: Optional[Workspace] = None,
+) -> np.ndarray:
+    """Unreached range-local ``vertices`` scan their in-edges for an
+    active parent (arrays as in :func:`relax_pull`, ``parents`` as in
+    :func:`claim_push`)."""
+    edges = _pull_edges(offsets, sources, active, vertices, workspace)
+    if edges is None:
+        return _NO_WINNERS
+    _, srcs, dsts = edges
+    return _claim(levels[lo:], dsts, srcs.compress, parents, unreached, workspace)
+
+
+# -- in-process kernels: the whole-range calls ---------------------------------------
 
 
 class MinRelaxKernel(FusedKernel):
@@ -277,61 +444,24 @@ class MinRelaxKernel(FusedKernel):
     def push(self, graph, vertices, output, workspace):
         """Relax the frontier's out-edges in one batched min pass."""
         csr = graph.csr()
-        edge_ids, counts = _gather_segments(csr.row_offsets, vertices, workspace)
-        if edge_ids is None:
-            return output
-        values = self.values
-        dsts = (
-            workspace.take("fused.dsts", csr.column_indices, edge_ids)
-            if workspace is not None
-            else csr.column_indices.take(edge_ids)
+        winners = relax_push(
+            csr.row_offsets, csr.column_indices,
+            csr.values if self.weighted else None, self.values, vertices,
+            mask=self.edge_mask, workspace=workspace,
         )
-        # Gather per-vertex then repeat: k reads + one repeat instead of
-        # a length-E fancy gather through a repeated source array.
-        cand = values.take(vertices).repeat(counts)
-        if self.weighted:
-            cand += csr.values.take(edge_ids)
-        if self.edge_mask is not None:
-            live = self.edge_mask.take(edge_ids)
-            np.copyto(cand, INF, where=~live)
-        old = values.take(dsts)  # pre-batch copy
-        np.minimum.at(values, dsts, cand)
-        improved = cand < old
-        if self.edge_mask is not None:
-            improved &= live
-        winners = dsts.compress(improved)
-        if winners.size:
-            return _emit(
-                output, dedup_ids(winners, values.shape[0], workspace)
-            )
-        return output
+        return emit(output, winners) if winners.size else output
 
     def pull(self, graph, frontier, candidates, output, workspace):
         """Relax candidates' in-edges from the active set (CSC side)."""
         csc = graph.csc()
         n = graph.n_vertices
-        active = _active_flags(frontier, n, workspace)
-        if candidates is None:
-            cand_ids = np.arange(n, dtype=VERTEX_DTYPE)
-        else:
-            cand_ids = np.asarray(candidates, dtype=VERTEX_DTYPE).ravel()
-        if cand_ids.size == 0:
-            return output
-        edge_ids, counts = _gather_segments(csc.col_offsets, cand_ids, workspace)
-        if edge_ids is None:
-            return output
-        srcs = csc.row_indices[edge_ids]
-        live = active[srcs]
-        if not np.any(live):
-            return output
-        srcs = srcs[live]
-        dsts = np.repeat(cand_ids, counts)[live]
-        values = self.values
-        cand = values[srcs]
-        if self.weighted:
-            cand = cand + csc.values[edge_ids[live]]
-        improved = bulk_min_relax(values, dsts, cand)
-        return _emit(output, dedup_ids(dsts[improved], n, workspace))
+        winners = relax_pull(
+            csc.col_offsets, csc.row_indices,
+            csc.values if self.weighted else None, self.values,
+            active_flags(frontier, n, workspace), _candidate_ids(n, candidates),
+            workspace=workspace,
+        )
+        return emit(output, winners) if winners.size else output
 
 
 class ClaimLevelsKernel(FusedKernel):
@@ -353,58 +483,36 @@ class ClaimLevelsKernel(FusedKernel):
         self.parents = parents
         self.unreached = unreached
 
+    def stamp_levels(self, winners: np.ndarray) -> None:
+        """Level each winner one past the parent it was claimed by."""
+        levels = self.levels
+        levels[winners] = levels.take(self.parents.take(winners)) + 1
+
+    def _commit(self, output, winners):
+        if not winners.size:
+            return output
+        self.stamp_levels(winners)
+        return emit(output, winners)
+
     def push(self, graph, vertices, output, workspace):
         """Claim unvisited children of the frontier (CSR expand)."""
         csr = graph.csr()
-        edge_ids, counts = _gather_segments(csr.row_offsets, vertices, workspace)
-        if edge_ids is None:
-            return output
-        levels = self.levels
-        dsts = (
-            workspace.take("fused.dsts", csr.column_indices, edge_ids)
-            if workspace is not None
-            else csr.column_indices.take(edge_ids)
+        winners = claim_push(
+            csr.row_offsets, csr.column_indices, self.levels, vertices,
+            self.parents, unreached=self.unreached, workspace=workspace,
         )
-        fresh = levels.take(dsts) == self.unreached
-        claimed = dsts.compress(fresh)
-        if claimed.size:
-            srcs = vertices.repeat(counts).compress(fresh)
-            levels[claimed] = levels.take(srcs) + 1
-            self.parents[claimed] = srcs
-            return _emit(
-                output, dedup_ids(claimed, levels.shape[0], workspace)
-            )
-        return output
+        return self._commit(output, winners)
 
     def pull(self, graph, frontier, candidates, output, workspace):
         """Unvisited candidates scan in-edges for a visited parent."""
         csc = graph.csc()
         n = graph.n_vertices
-        active = _active_flags(frontier, n, workspace)
-        if candidates is None:
-            cand_ids = np.arange(n, dtype=VERTEX_DTYPE)
-        else:
-            cand_ids = np.asarray(candidates, dtype=VERTEX_DTYPE).ravel()
-        if cand_ids.size == 0:
-            return output
-        edge_ids, counts = _gather_segments(csc.col_offsets, cand_ids, workspace)
-        if edge_ids is None:
-            return output
-        srcs = csc.row_indices[edge_ids]
-        live = active[srcs]
-        if not np.any(live):
-            return output
-        srcs = srcs[live]
-        dsts = np.repeat(cand_ids, counts)[live]
-        levels = self.levels
-        fresh = levels[dsts] == self.unreached
-        if not np.any(fresh):
-            return output
-        claimed = dsts[fresh]
-        claiming = srcs[fresh]
-        levels[claimed] = levels[claiming] + 1
-        self.parents[claimed] = claiming
-        return _emit(output, dedup_ids(claimed, n, workspace))
+        winners = claim_pull(
+            csc.col_offsets, csc.row_indices, self.levels,
+            active_flags(frontier, n, workspace), _candidate_ids(n, candidates),
+            self.parents, unreached=self.unreached, workspace=workspace,
+        )
+        return self._commit(output, winners)
 
 
 # -- condition factories ------------------------------------------------------------

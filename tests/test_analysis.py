@@ -94,6 +94,8 @@ def test_layer_of_maps_span_vocabulary():
     assert layer_of("superstep") == "loop"
     assert layer_of("scheduler:task") == "loop"
     assert layer_of("mailbox:deliver") == "comm"
+    assert layer_of("proc:round") == "comm"
+    assert layer_of("proc:task") == "operator"
     assert layer_of("checkpoint:save") == "resilience"
     assert layer_of("somebody:else") == "other"
 

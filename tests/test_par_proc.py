@@ -1,10 +1,12 @@
-"""The ``par_proc`` multiprocess policy: correctness vs ``seq``, SHM
-lifecycle, supervision, cancellation, and observability stitching.
+"""The ``par_proc`` multiprocess policy: correctness vs ``seq`` and
+``par_vector``, SHM lifecycle, supervision, cancellation, and
+observability stitching.
 
 These tests drive real spawned worker processes (two of them, via
-``with_workers(2)``, regardless of the container's core count — the
-point is the cross-process merge path, not speedup).  The pool is
-process-cached, so spawn cost is paid once per session.
+``with_workers(2)``, plus one and three for the property test,
+regardless of the machine's core count — the point is the owner-computes
+partition, not speedup).  Pools are process-cached, so spawn cost is
+paid once per session.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from strategies import graphs, vertex_lists
 
 from repro.algorithms import (
     bfs,
@@ -33,14 +38,18 @@ from repro.execution.proc_pool import (
     get_proc_pool,
     in_worker_process,
 )
+from repro.execution.proc_engine import column_slice, destination_slice
+from repro.execution.proc_kernels import claim_range, min_relax_range
 from repro.execution.thread_pool import default_worker_count
-from repro.graph.generators import rmat
+from repro.graph.generators import grid_2d, rmat
 from repro.observability.analysis import analyze_probe
 from repro.observability.probe import Probe
+from repro.operators import fused
 from repro.operators.fused import fusion_override
+from repro.types import INF, VERTEX_DTYPE
 
-#: Two worker processes: exercises partition ownership, the mailbox
-#: merge across ranks, and rank-order concatenation.
+#: Two worker processes: exercises range ownership and rank-order
+#: concatenation of the replies.
 PROC2 = par_proc.with_workers(2)
 
 
@@ -79,31 +88,117 @@ def test_not_in_worker_process():
 # -- kernel equivalence (in-process, no spawn) -----------------------------------------
 
 
-def test_min_relax_push_kernel_matches_dense_relaxation(proc_graph):
-    from repro.execution import proc_kernels
-
-    g = proc_graph
-    csr = g.csr()
-    values = np.full(g.n_vertices, np.inf, dtype=np.float64)
-    rng = np.random.default_rng(0)
-    seeds = rng.choice(g.n_vertices, size=16, replace=False)
-    values[seeds] = rng.random(16)
-    work = np.sort(seeds.astype(np.int32))
-
-    dsts, cand = proc_kernels.min_relax_push(
-        csr.row_offsets, csr.column_indices, csr.values, values, work
+@st.composite
+def cut_cases(draw):
+    """A graph, an arbitrary cut of ``[0, n)`` into ranges (empty ones
+    included), a frontier, pre-round state and a pull set."""
+    n = draw(st.integers(1, 12))
+    g = draw(graphs(n_vertices=n, max_edges=40, min_weight=0.0))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=4)))
+    bounds = [0, *cuts, n]
+    frontier = np.unique(
+        np.asarray(draw(vertex_lists(n, max_size=n)), dtype=VERTEX_DTYPE)
     )
-    # Every proposal must strictly improve on the pre-round values.
-    assert np.all(cand < values[dsts])
-    # And folding them must reproduce one dense relaxation round.
-    expected = values.copy()
-    for u in work:
-        lo, hi = csr.row_offsets[u], csr.row_offsets[u + 1]
-        for v, w in zip(csr.column_indices[lo:hi], csr.values[lo:hi]):
-            expected[v] = min(expected[v], values[u] + w)
-    folded = values.copy()
-    np.minimum.at(folded, dsts, cand)
-    np.testing.assert_allclose(folded, expected)
+    finite = st.floats(0, 20, allow_nan=False, width=32)
+    values = np.asarray(
+        draw(st.lists(st.one_of(finite, st.just(INF)), min_size=n, max_size=n)),
+        dtype=np.float32,
+    )
+    levels = np.asarray(
+        draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n)), dtype=np.int64
+    )
+    active = np.asarray(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    mask = np.asarray(
+        draw(st.lists(st.booleans(), min_size=g.n_edges, max_size=g.n_edges)),
+        dtype=bool,
+    )
+    candidates = draw(st.one_of(st.none(), st.just(frontier[::-1].copy())))
+    ranges = list(zip(bounds[:-1], bounds[1:]))
+    return g, ranges, frontier, values, levels, active, mask, candidates
+
+
+def _concat(parts):
+    return (
+        np.concatenate([p[0] for p in parts]),
+        np.concatenate([p[1] for p in parts]),
+    )
+
+
+@given(cut_cases())
+@settings(max_examples=80, deadline=None)
+def test_any_destination_cut_reproduces_the_whole_range_kernel(case):
+    """Owner computes, in process: every range runs the worker kernel
+    over its own slice, and the rank-order concatenation equals the
+    whole-range kernel's sorted winners and their new values bit for
+    bit — min-relax and claim, push (masked too) and pull."""
+    g, ranges, frontier, values, levels, active, mask, candidates = case
+    n, csr, csc = g.n_vertices, g.csr(), g.csc()
+    cand = np.arange(n, dtype=VERTEX_DTYPE) if candidates is None else candidates
+    pushed = [destination_slice(csr, lo, hi) for lo, hi in ranges]
+    pulled = [column_slice(csc, lo, hi) for lo, hi in ranges]
+    mirrors = [values.copy(), levels.copy(), active.copy()]
+
+    for edge_mask in (None, mask):
+        want = values.copy()
+        winners = fused.relax_push(
+            csr.row_offsets, csr.column_indices, csr.values, want, frontier,
+            mask=edge_mask,
+        )
+        got = _concat([
+            min_relax_range(
+                "push", s["offsets"], s["targets"], values, lo, hi,
+                weights=s["weights"], vertices=frontier, edge_mask=edge_mask,
+                edge_ids=s["edge_ids"],
+            )
+            for (lo, hi), s in zip(ranges, pushed)
+        ])
+        assert np.array_equal(got[0], winners)
+        assert np.array_equal(got[1], want[winners])
+
+    want = values.copy()
+    winners = fused.relax_pull(
+        csc.col_offsets, csc.row_indices, csc.values, want, active, cand
+    )
+    got = _concat([
+        min_relax_range(
+            "pull", s["offsets"], s["targets"], values, lo, hi,
+            weights=s["weights"], vertices=candidates, active=active,
+        )
+        for (lo, hi), s in zip(ranges, pulled)
+    ])
+    assert np.array_equal(got[0], winners)
+    assert np.array_equal(got[1], want[winners])
+
+    parents = np.full(n, -1, dtype=VERTEX_DTYPE)
+    winners = fused.claim_push(
+        csr.row_offsets, csr.column_indices, levels, frontier, parents
+    )
+    got = _concat([
+        claim_range(
+            "push", s["offsets"], s["targets"], levels, lo, hi,
+            vertices=frontier,
+        )
+        for (lo, hi), s in zip(ranges, pushed)
+    ])
+    assert np.array_equal(got[0], winners)
+    assert np.array_equal(got[1], parents[winners])
+
+    parents = np.full(n, -1, dtype=VERTEX_DTYPE)
+    winners = fused.claim_pull(
+        csc.col_offsets, csc.row_indices, levels, active, cand, parents
+    )
+    got = _concat([
+        claim_range(
+            "pull", s["offsets"], s["targets"], levels, lo, hi,
+            vertices=candidates, active=active,
+        )
+        for (lo, hi), s in zip(ranges, pulled)
+    ])
+    assert np.array_equal(got[0], winners)
+    assert np.array_equal(got[1], parents[winners])
+    # Workers read the pre-round mirrors and never write them.
+    for mirror, now in zip(mirrors, (values, levels, active)):
+        assert np.array_equal(mirror, now)
 
 
 def test_pagerank_range_kernel_partitions_cleanly(proc_graph):
@@ -118,18 +213,20 @@ def test_pagerank_range_kernel_partitions_cleanly(proc_graph):
     csc = g.csc()
     n = g.n_vertices
     share = np.random.default_rng(1).random(n)
-    weights = csc.values.astype(np.float64)
+
+    def run(out, lo, hi):
+        s = column_slice(csc, lo, hi)
+        return proc_kernels.pagerank_range(
+            s["offsets"], s["targets"], s["weights64"],
+            share, out, lo, hi,
+        )
+
     whole = np.full(n, np.nan)
     split = np.full(n, np.nan)
-    edges = proc_kernels.pagerank_range(
-        csc.col_offsets, csc.row_indices, weights, share, whole, 0, n
-    )
-    assert edges == g.n_edges
+    assert run(whole, 0, n) == g.n_edges
     mid = n // 2
     for lo, hi in ((0, mid), (mid, mid), (mid, n), (0, mid)):  # one re-run
-        proc_kernels.pagerank_range(
-            csc.col_offsets, csc.row_indices, weights, share, split, lo, hi
-        )
+        run(split, lo, hi)
     assert np.array_equal(split, whole)
     assert np.array_equal(whole, graph_aggregate(g).scatter(share))
 
@@ -141,10 +238,12 @@ def test_bfs_matches_seq(proc_graph):
     a = bfs(proc_graph, 0, policy="seq")
     b = bfs(proc_graph, 0, policy=PROC2)
     assert np.array_equal(a.levels, b.levels)
-    # Parent choice may differ from seq (the fold picks the minimum
-    # proposing parent), but every parent edge must be tree-valid.
-    reached = b.levels > 0
-    assert np.all(b.levels[b.parents[reached]] + 1 == b.levels[reached])
+    # A rank's slice keeps each destination's in-edges in CSR order, so
+    # its last-write parent is the in-process kernel's, exactly (seq
+    # picks its own valid parents).
+    assert np.array_equal(
+        b.parents, bfs(proc_graph, 0, policy="par_vector").parents
+    )
 
 
 def test_bfs_pull_and_auto_match_seq(proc_graph):
@@ -177,6 +276,40 @@ def test_pagerank_matches_vector(proc_graph):
     b = pagerank(proc_graph, policy=PROC2)
     assert a.iterations == b.iterations
     assert np.array_equal(a.ranks, b.ranks)  # one kernel: bit-identical
+
+
+@st.composite
+def traversal_cases(draw):
+    """Small graphs with parallel edges, self-loops, zero weights and
+    sinks — ``n`` down to 1, below every worker count tried."""
+    n = draw(st.sampled_from([1, 2, 3, 7, 16]))
+    g = draw(graphs(n_vertices=n, max_edges=48, min_weight=0.0, max_weight=4.0))
+    return g, draw(st.integers(0, n - 1))
+
+
+@given(traversal_cases())
+@settings(max_examples=15, deadline=None)
+def test_traversals_bit_identical_to_par_vector(case):
+    g, source = case
+    for workers in (1, 2, 3):
+        proc = par_proc.with_workers(workers)
+        for direction in ("push", "pull", "auto"):
+            want = bfs(g, source, direction=direction)
+            got = bfs(g, source, policy=proc, direction=direction)
+            assert np.array_equal(got.levels, want.levels)
+            assert np.array_equal(got.parents, want.parents)
+            assert np.array_equal(
+                sssp(g, source, policy=proc, direction=direction).distances,
+                sssp(g, source, direction=direction).distances,
+            )
+        assert np.array_equal(
+            connected_components(g, policy=proc).labels,
+            connected_components(g).labels,
+        )
+        assert np.array_equal(
+            sssp_delta_stepping(g, source, policy=proc).distances,
+            sssp_delta_stepping(g, source).distances,
+        )
 
 
 def test_fusion_off_degrades_to_vector_path(proc_graph):
@@ -215,6 +348,19 @@ def test_analysis_attributes_proc_to_comm_layer(proc_graph):
         bfs(proc_graph, 0, policy=PROC2)
     report = analyze_probe(probe)
     assert report.layers.get("comm", 0.0) > 0.0
+    # Each round's longest proc:task is kernel time; the rest of the
+    # round is transfer.  The overlapped task is not counted twice.
+    spans = probe.tracer.spans()
+    rounds = [s for s in spans if s.name == "proc:round"]
+    kernel = sum(
+        max(t.duration for t in spans if t.parent_id == r.span_id)
+        for r in rounds
+    )
+    assert report.layers["operator"] >= kernel
+    assert report.layers["comm"] == pytest.approx(
+        sum(r.duration for r in rounds) - kernel, abs=1e-6
+    )
+    assert sum(report.layers.values()) <= report.wall_seconds + 1e-6
     # proc:task spans feed the worker-load table; with two ranks the
     # imbalance factor is defined (>= 1.0 by construction).
     assert {w.worker for w in report.workers} >= {0, 1}
@@ -256,6 +402,30 @@ def test_worker_sigkill_mid_pagerank_is_survived(proc_graph):
         killer.join()
     assert got.iterations == expected.iterations == 400
     assert np.array_equal(got.ranks, expected.ranks)
+    assert pool.restarts == before + 1
+
+
+def test_worker_sigkill_mid_sssp_is_survived():
+    """A worker killed 30 ms into a few-hundred-round ``sssp``: the pool
+    respawns it and re-dispatches the round, which the fresh worker
+    recomputes from the same pre-round mirror — distances still equal
+    the in-process run bit for bit."""
+    import threading
+
+    g = grid_2d(64, 64, weighted=True, seed=3)
+    expected = sssp(g, 0, policy="par_vector")
+    pool = get_proc_pool(2)
+    sssp(g, 0, policy=PROC2)  # pool warm, slices placed
+    before = pool.restarts
+    victim = pool.worker_pids()[1]
+    killer = threading.Timer(0.03, os.kill, (victim, signal.SIGKILL))
+    killer.start()
+    try:
+        got = sssp(g, 0, policy=PROC2)
+    finally:
+        killer.join()
+    assert got.stats.num_iterations == expected.stats.num_iterations > 100
+    assert np.array_equal(got.distances, expected.distances)
     assert pool.restarts == before + 1
 
 
