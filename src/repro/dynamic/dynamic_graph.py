@@ -155,23 +155,37 @@ class MutationBatch:
         )
 
 
-def _as_edge_triples(
-    edges: Sequence[EdgeLike], *, default_weight: float = 1.0
-) -> List[Tuple[int, int, float]]:
-    out = []
-    for edge in edges:
-        if len(edge) == 2:
-            s, d = edge
-            w = default_weight
-        elif len(edge) == 3:
-            s, d, w = edge
-        else:
-            raise GraphFormatError(
-                f"edges must be (src, dst) or (src, dst, weight); got "
-                f"length-{len(edge)} entry"
-            )
-        out.append((int(s), int(d), float(w)))
-    return out
+def _edge_arrays(
+    edges: Sequence[EdgeLike], n_vertices: int, *, default_weight: float = 1.0
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(src, dst, weight)`` arrays from ``(src, dst[, weight])`` entries,
+    with every endpoint checked to be a vertex id in ``[0, n_vertices)``."""
+    try:
+        table = np.asarray(edges, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged: 2- and 3-entry edges mixed
+        table = None
+    if table is None or table.ndim != 2 or table.shape[1] not in (2, 3):
+        rows = []
+        for edge in edges:
+            if len(edge) not in (2, 3):
+                raise GraphFormatError(
+                    f"edges must be (src, dst) or (src, dst, weight); got "
+                    f"length-{len(edge)} entry"
+                )
+            rows.append((*edge, default_weight)[:3])
+        table = np.asarray(rows, dtype=np.float64).reshape(-1, 3)
+    ends = np.trunc(table[:, :2])  # int() semantics for float ids
+    bad = ~((ends >= 0) & (ends < n_vertices))
+    if bad.any():
+        raise GraphFormatError(
+            f"vertex {ends[bad][0]:.0f} out of range for "
+            f"n_vertices={n_vertices}"
+        )
+    if table.shape[1] == 3:
+        weights = table[:, 2]
+    else:
+        weights = np.full(table.shape[0], default_weight)
+    return ends[:, 0].astype(np.int64), ends[:, 1].astype(np.int64), weights
 
 
 class DynamicGraph:
@@ -256,15 +270,17 @@ class DynamicGraph:
                 f"vertex {v} out of range for n_vertices={self.n_vertices}"
             )
 
-    def _both_arcs(self, triples):
-        """Undirected graphs mutate both stored arc directions."""
+    def _both_arcs(self, src, dst, *rest):
+        """Undirected graphs mutate both stored arc directions: the
+        reversed arcs follow the given ones."""
         if self.properties.directed:
-            return triples
-        out = list(triples)
-        for s, d, w in triples:
-            if s != d:
-                out.append((d, s, w))
-        return out
+            return (src, dst, *rest)
+        flip = src != dst
+        return (
+            np.concatenate([src, dst[flip]]),
+            np.concatenate([dst, src[flip]]),
+            *(np.concatenate([r, r[flip]]) for r in rest),
+        )
 
     def insert_edges(self, edges: Sequence[EdgeLike]) -> MutationBatch:
         """Stage a batch of edge insertions; one epoch bump for the batch.
@@ -274,7 +290,7 @@ class DynamicGraph:
         on undirected graphs both arc directions are staged.  Returns
         the :class:`MutationBatch` recorded in the log.
         """
-        return self._apply(inserts=_as_edge_triples(edges), deletes=[])
+        return self._apply(inserts=edges, deletes=())
 
     def insert_edge(self, src: int, dst: int, weight: float = 1.0) -> MutationBatch:
         """Stage one insertion (its own epoch)."""
@@ -287,9 +303,7 @@ class DynamicGraph:
         raises :class:`GraphFormatError` and leaves the whole batch
         unapplied — mutation batches are all-or-nothing.
         """
-        return self._apply(
-            inserts=[], deletes=[(s, d) for s, d, _ in _as_edge_triples(edges)]
-        )
+        return self._apply(inserts=(), deletes=edges)
 
     def remove_edge(self, src: int, dst: int) -> MutationBatch:
         """Stage one deletion (its own epoch)."""
@@ -313,76 +327,21 @@ class DynamicGraph:
         remove: Sequence[EdgeLike] = (),
     ) -> MutationBatch:
         """Stage one mixed batch (removals first, then insertions)."""
-        return self._apply(
-            inserts=_as_edge_triples(insert),
-            deletes=[(s, d) for s, d, _ in _as_edge_triples(remove)],
-        )
+        return self._apply(inserts=insert, deletes=remove)
 
     def _apply(self, *, inserts, deletes) -> MutationBatch:
-        for s, d, _ in inserts:
-            self._check_vertex(s)
-            self._check_vertex(d)
-        for s, d in deletes:
-            self._check_vertex(s)
-            self._check_vertex(d)
-        inserts = self._both_arcs(inserts)
-        deletes = [
-            (s, d, 0.0) for s, d in deletes
-        ]
-        deletes = [(s, d) for s, d, _ in self._both_arcs(deletes)]
-        # Validate the whole batch against the current state before
-        # staging anything — batches are all-or-nothing, so every way a
-        # mutation can fail (missing delete target, duplicate delete,
-        # non-finite insert weight) must be ruled out while the overlay
-        # is still untouched.
-        seen = set()
-        for s, d in deletes:
-            if (s, d) in seen:
-                raise GraphFormatError(
-                    f"edge ({s}, {d}) removed twice in one batch"
-                )
-            seen.add((s, d))
-            if not self.has_edge(s, d):
-                raise GraphFormatError(
-                    f"cannot remove edge ({s}, {d}): no live edge exists"
-                )
-        for s, d, w in inserts:
-            if not np.isfinite(w):
-                raise GraphFormatError(
-                    f"edge ({s}, {d}) weight must be finite, got {w!r}"
-                )
         probe = active_probe()
-        with probe.span(
-            "dynamic:mutate",
-            n_insert=len(inserts),
-            n_remove=len(deletes),
-            epoch=self._epoch + 1,
-        ):
-            rs, rd, rw = [], [], []
-            for s, d in deletes:
-                rw.append(self._overlay.stage_delete(s, d))
-                rs.append(s)
-                rd.append(d)
-            is_, id_, iw = [], [], []
-            for s, d, w in inserts:
-                for old in self._overlay.stage_insert(s, d, w):
-                    # Weight update = logical remove + insert, and the
-                    # log must say so: incremental SSSP treats a weight
-                    # increase exactly like an edge deletion.
-                    rs.append(s)
-                    rd.append(d)
-                    rw.append(old)
-                is_.append(s)
-                id_.append(d)
-                iw.append(w)
-            batch = MutationBatch(
-                inserted_src=np.asarray(is_, dtype=VERTEX_DTYPE),
-                inserted_dst=np.asarray(id_, dtype=VERTEX_DTYPE),
-                inserted_w=np.asarray(iw, dtype=WEIGHT_DTYPE),
-                removed_src=np.asarray(rs, dtype=VERTEX_DTYPE),
-                removed_dst=np.asarray(rd, dtype=VERTEX_DTYPE),
-                removed_w=np.asarray(rw, dtype=WEIGHT_DTYPE),
-            )
+        with probe.span("dynamic:mutate", epoch=self._epoch + 1) as span:
+            n = self.n_vertices
+            ins = self._both_arcs(*_edge_arrays(inserts, n))
+            dels = self._both_arcs(*_edge_arrays(deletes, n)[:2])
+            span.set("n_insert", int(ins[0].size))
+            span.set("n_remove", int(dels[0].size))
+            # The overlay validates the whole batch before staging any
+            # of it (batches are all-or-nothing).  A weight update is
+            # logged as remove + insert: incremental SSSP treats a
+            # weight increase exactly like an edge deletion.
+            batch = MutationBatch(*self._overlay.stage(*dels, *ins))
             self._epoch += 1
             self._log.append((self._epoch, batch))
             self._snapshot = None
@@ -536,19 +495,17 @@ class DynamicGraph:
         """Whether arc ``(u, v)`` is live in base+delta."""
         self._check_vertex(u)
         self._check_vertex(v)
-        if self._overlay.staged_weight(u, v) is not None:
-            return True
-        return self._overlay.find_live_base_edge(u, v) >= 0
+        return bool(np.any(self._overlay.neighbors_of(u)[0] == v))
 
     def edge_weight(self, u: int, v: int) -> float:
         """Weight of the live edge ``(u, v)`` (error if absent)."""
-        staged = self._overlay.staged_weight(u, v)
-        if staged is not None:
-            return float(staged)
-        e = self._overlay.find_live_base_edge(u, v)
-        if e < 0:
+        self._check_vertex(u)
+        self._check_vertex(v)
+        nbrs, wts = self._overlay.neighbors_of(u)
+        hit = np.flatnonzero(nbrs == v)
+        if hit.size == 0:
             raise GraphFormatError(f"no live edge ({u}, {v})")
-        return float(self._overlay.base.values[e])
+        return float(wts[hit[0]])
 
     def iter_edges(self) -> Iterator[Tuple[int, int, float]]:
         """Yield ``(src, dst, weight)`` over live edges, overlay-merged."""

@@ -168,6 +168,18 @@ def _min_relax_fixpoint(
     )
 
 
+def _arc_positions(offsets: np.ndarray, ids: np.ndarray):
+    """Positions of every arc in the ``ids``' segments of a CSR/CSC
+    offsets array, plus the per-id segment lengths."""
+    offs = offsets.astype(np.int64, copy=False)
+    starts = offs[ids]
+    cnts = offs[ids + 1] - starts
+    seg0 = np.cumsum(cnts) - cnts
+    idx = np.repeat(starts - seg0, cnts)
+    idx += np.arange(idx.size, dtype=np.int64)
+    return idx, cnts
+
+
 def _relax_push(
     merged: Graph,
     dist: np.ndarray,
@@ -189,26 +201,18 @@ def _relax_push(
     """
     stats = RunStats()
     csr = merged.csr()
-    ro = csr.row_offsets.astype(np.int64, copy=False)
-    ci = csr.column_indices
     frontier = np.unique(seeds).astype(np.int64)
     iteration = 0
     while frontier.size:
-        starts = ro[frontier]
-        cnts = ro[frontier + 1] - starts
-        total = int(cnts.sum())
-        if total == 0:
+        idx, cnts = _arc_positions(csr.row_offsets, frontier)
+        if idx.size == 0:
             break
-        seg0 = np.cumsum(cnts) - cnts
-        idx = np.repeat(starts - seg0, cnts) + np.arange(
-            total, dtype=np.int64
-        )
-        dsts = ci[idx].astype(np.int64)
+        dsts = csr.column_indices[idx].astype(np.int64)
         src_d = np.repeat(dist[frontier], cnts)
         cand = src_d + 1.0 if unit else src_d + csr.values[idx]
         better = cand < dist[dsts]
         stats.record(
-            IterationStats(iteration, int(frontier.size), total, 0.0)
+            IterationStats(iteration, int(frontier.size), int(idx.size), 0.0)
         )
         iteration += 1
         if not np.any(better):
@@ -245,19 +249,13 @@ def _pull_refill(
     if inv.size == 0:
         return inv
     csc = merged.csc()
-    co = csc.col_offsets.astype(np.int64, copy=False)
-    starts = co[inv]
-    cnts = co[inv + 1] - starts
-    nz = cnts > 0
-    inv, starts, cnts = inv[nz], starts[nz], cnts[nz]
+    inv = inv[csc.col_offsets[inv + 1] > csc.col_offsets[inv]]
     if inv.size == 0:
         return inv
-    total = int(cnts.sum())
-    seg0 = np.cumsum(cnts) - cnts
-    idx = np.repeat(starts - seg0, cnts)
-    idx += np.arange(total, dtype=np.int64)
+    idx, cnts = _arc_positions(csc.col_offsets, inv)
     srcs = csc.row_indices[idx]
     cand = dist[srcs] + 1.0 if unit else dist[srcs] + csc.values[idx]
+    seg0 = np.cumsum(cnts) - cnts
     refilled = np.minimum(dist[inv], np.minimum.reduceat(cand, seg0))
     dist[inv] = refilled
     return inv[refilled < INF]
@@ -317,26 +315,26 @@ def _tight_invalidate(
     return invalid
 
 
-def _gather_arcs(offsets: np.ndarray, targets: np.ndarray, ids: np.ndarray):
+def _gather_arcs(
+    offsets: np.ndarray,
+    targets: np.ndarray,
+    ids: np.ndarray,
+    keep: Optional[np.ndarray] = None,
+):
     """``(endpoint, owner)`` arc pairs for ``ids`` off raw index arrays.
 
     One segmented gather off a CSR/CSC offset+index pair — the weight
     and sort work :meth:`gather_in_edges` / :meth:`expand_vertices` do
     is pure waste on the structural hot paths here (level rescue, kid
-    cascade, parent re-pick), which only need endpoints.
+    cascade, parent re-pick), which only need endpoints.  ``keep``, a
+    per-arc mask over the same arrays, drops the arcs it marks False.
     """
-    offs = offsets.astype(np.int64, copy=False)
-    starts = offs[ids]
-    cnts = offs[ids + 1] - starts
-    total = int(cnts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    seg0 = np.cumsum(cnts) - cnts
-    idx = np.repeat(starts - seg0, cnts) + np.arange(total, dtype=np.int64)
-    return targets[idx].astype(np.int64), np.repeat(
-        ids.astype(np.int64, copy=False), cnts
-    )
+    idx, cnts = _arc_positions(offsets, ids)
+    owners = np.repeat(ids.astype(np.int64, copy=False), cnts)
+    if keep is not None:
+        sel = keep[idx]
+        idx, owners = idx[sel], owners[sel]
+    return targets[idx].astype(np.int64), owners
 
 
 def _boundary_seeds(graph: Graph, values: np.ndarray, invalid: np.ndarray):
@@ -610,9 +608,10 @@ def incremental_bfs(
     return BFSResult(levels=levels, parents=parents, source=source, stats=stats)
 
 
-def _deletion_structure(merged: Graph, batch: MutationBatch):
-    """Cached underlying-undirected adjacency ``(offsets, neighbors)``
-    of the merged snapshot *minus the batch's inserted arcs*.
+def _deletion_arcs(merged: Graph, batch: MutationBatch):
+    """The snapshot's underlying undirected structure *minus the
+    batch's inserted arcs*, as ``(offsets, endpoints, keep)`` triples
+    over its own CSR (out-arcs) and CSC (in-arcs).
 
     Deletion certificates must run on exactly "yesterday's structure
     after the deletions": traversing an inserted edge would let one
@@ -621,115 +620,66 @@ def _deletion_structure(merged: Graph, batch: MutationBatch):
     belongs to when the insert union-find later merges labels.  Every
     insert-induced reconnection instead goes through that union-find.
 
-    Each vertex's neighbor list is its surviving out-neighbors (CSR)
-    followed by its surviving in-neighbors (CSC), so every arc appears
-    in both endpoints' lists.  Built with vectorized scatters off the
-    cached views and memoized on the snapshot (keyed by the inserted
-    arcs) — rebuilt only when the overlay produces a new merged graph.
+    ``keep`` is a per-arc mask, False exactly on inserted arcs (None
+    when the batch inserts nothing).  Only the CSR rows of inserted
+    sources and the CSC columns of inserted destinations can hold one,
+    so only those are scanned.
     """
-    ins_src = batch.inserted_src
-    ins_dst = batch.inserted_dst
-    cached = merged.__dict__.get("_dynamic_und")
-    if cached is not None:
-        c_src, c_dst, offs, nbrs = cached
-        if np.array_equal(c_src, ins_src) and np.array_equal(c_dst, ins_dst):
-            return offs, nbrs
-    csr = merged.csr()
-    csc = merged.csc()
-    n = merged.n_vertices
-    ro = csr.row_offsets.astype(np.int64, copy=False)
-    co = csc.col_offsets.astype(np.int64, copy=False)
-    owner_out = np.repeat(np.arange(n, dtype=np.int64), np.diff(ro))
-    owner_in = np.repeat(np.arange(n, dtype=np.int64), np.diff(co))
-    out_nb = csr.column_indices
-    in_nb = csc.row_indices
-    if batch.n_inserted:
-        nn = np.int64(n)
-        inserted = np.sort(
-            ins_src.astype(np.int64) * nn + ins_dst.astype(np.int64)
-        )
-
-        def survives(srcs, dsts):
-            keys = srcs * nn + dsts
-            pos = np.searchsorted(inserted, keys)
-            clip = np.minimum(pos, inserted.size - 1)
-            return ~((pos < inserted.size) & (inserted[clip] == keys))
-
-        keep = survives(owner_out, out_nb.astype(np.int64))
-        owner_out, out_nb = owner_out[keep], out_nb[keep]
-        keep = survives(in_nb.astype(np.int64), owner_in)
-        owner_in, in_nb = owner_in[keep], in_nb[keep]
-    out_cnt = np.bincount(owner_out, minlength=n)
-    in_cnt = np.bincount(owner_in, minlength=n)
-    offs = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(out_cnt + in_cnt, out=offs[1:])
-    # VERTEX_DTYPE neighbors: the traversal is gather-bound, and the
-    # narrower lanes halve its memory traffic.
-    nbrs = np.empty(int(offs[-1]), dtype=VERTEX_DTYPE)
-    # Both owner arrays are owner-sorted, so each element's slot within
-    # its owner's block is its global index minus the block start.
-    blk0 = np.cumsum(out_cnt) - out_cnt
-    nbrs[
-        offs[owner_out] + (np.arange(owner_out.size) - blk0[owner_out])
-    ] = out_nb
-    blk0 = np.cumsum(in_cnt) - in_cnt
-    nbrs[
-        offs[owner_in]
-        + out_cnt[owner_in]
-        + (np.arange(owner_in.size) - blk0[owner_in])
-    ] = in_nb
-    merged.__dict__["_dynamic_und"] = (
-        ins_src.copy(),
-        ins_dst.copy(),
-        offs,
-        nbrs,
-    )
-    return offs, nbrs
+    csr, csc = merged.csr(), merged.csc()
+    out_arcs = (csr.row_offsets, csr.column_indices)
+    in_arcs = (csc.col_offsets, csc.row_indices)
+    if not batch.n_inserted:
+        return [(*out_arcs, None), (*in_arcs, None)]
+    n = np.int64(merged.n_vertices)
+    src = batch.inserted_src.astype(np.int64)
+    dst = batch.inserted_dst.astype(np.int64)
+    sides = []
+    for (offsets, ends), owner, other in (
+        (out_arcs, src, dst),
+        (in_arcs, dst, src),
+    ):
+        # Owner-major keys: the gathered arcs come out grouped by
+        # ascending owner, so the binary searches probe in order.
+        inserted = np.sort(owner * n + other)
+        owners = np.unique(owner)
+        idx, cnts = _arc_positions(offsets, owners)
+        keys = np.repeat(owners * n, cnts) + ends[idx]
+        pos = np.minimum(np.searchsorted(inserted, keys), inserted.size - 1)
+        keep = np.ones(ends.shape[0], dtype=bool)
+        keep[idx[inserted[pos] == keys]] = False
+        sides.append((offsets, ends, keep))
+    return sides
 
 
-def _certified_reach(
-    merged: Graph, batch: MutationBatch, roots: np.ndarray
-) -> np.ndarray:
+def _certified_reach(sides, n: int, roots: np.ndarray) -> np.ndarray:
     """Vertices reachable from ``roots`` over the underlying undirected
     deletion-only structure — the exact certificate deletions need.
 
-    One frontier BFS over :func:`_deletion_structure`; every edge of
+    One frontier BFS that gathers each level's out-arcs from the CSR
+    and in-arcs from the CSC (:func:`_deletion_arcs`); every edge of
     the roots' components is touched once, so the cost is proportional
     to the components that actually lost an edge, not to the graph.
     """
-    offs, nbrs = _deletion_structure(merged, batch)
-    n = merged.n_vertices
     seen = np.zeros(n, dtype=bool)
     seen[roots] = True
     frontier = roots
     while frontier.size:
-        starts = offs[frontier]
-        cnts = offs[frontier + 1] - starts
-        total = int(cnts.sum())
-        if total == 0:
-            break
-        seg0 = np.cumsum(cnts) - cnts
-        idx = np.repeat(starts - seg0, cnts) + np.arange(
-            total, dtype=np.int64
-        )
         # Scatter-first: dumping every gathered neighbor into a fresh
         # mask and subtracting ``seen`` afterwards beats filtering the
-        # gather (a second 300k-element gather) on the heavy middle
-        # levels of a scale-free component.
+        # gather on the heavy middle levels of a scale-free component.
         mask = np.zeros(n, dtype=bool)
-        mask[nbrs[idx]] = True
+        for offsets, ends, keep in sides:
+            idx, _ = _arc_positions(offsets, frontier)
+            if keep is not None:
+                idx = idx[keep[idx]]
+            mask[ends[idx]] = True
         mask &= ~seen
         seen |= mask
         frontier = np.nonzero(mask)[0]
     return seen
 
 
-def _relabel_split(
-    merged: Graph,
-    batch: MutationBatch,
-    labels: np.ndarray,
-    cut: np.ndarray,
-) -> int:
+def _relabel_split(sides, labels: np.ndarray, cut: np.ndarray) -> int:
     """Relabel the split-off vertices ``cut`` to per-component minima.
 
     Every surviving non-inserted edge out of a cut vertex leads to
@@ -745,19 +695,15 @@ def _relabel_split(
     if cut_ids.size == 0:
         return 0
     labels[cut_ids] = cut_ids.astype(labels.dtype)
-    offs, nbrs = _deletion_structure(merged, batch)
-    starts = offs[cut_ids]
-    cnts = offs[cut_ids + 1] - starts
-    total = int(cnts.sum())
-    if total:
-        seg0 = np.cumsum(cnts) - cnts
-        idx = np.repeat(starts - seg0, cnts) + np.arange(
-            total, dtype=np.int64
-        )
-        srcs = np.repeat(cut_ids, cnts)
-        dsts = nbrs[idx]
-        keep = cut[dsts]
-        srcs, dsts = srcs[keep], dsts[keep]
+    pairs = [
+        _gather_arcs(offsets, ends, cut_ids, keep)
+        for offsets, ends, keep in sides
+    ]
+    dsts = np.concatenate([d for d, _ in pairs])
+    srcs = np.concatenate([s for _, s in pairs])
+    keep = cut[dsts]
+    srcs, dsts = srcs[keep], dsts[keep]
+    if srcs.size:
         while True:
             before = labels[cut_ids].copy()
             np.minimum.at(labels, dsts, labels[srcs])
@@ -813,12 +759,13 @@ def incremental_cc(
                 # value doubles as the component's root vertex.
                 roots = np.unique(labels[ends]).astype(np.int64)
                 n_roots = int(roots.size)
-                seen = _certified_reach(merged, batch, roots)
+                sides = _deletion_arcs(merged, batch)
+                seen = _certified_reach(sides, n, roots)
                 pos = np.searchsorted(roots, labels)
                 clip = np.minimum(pos, roots.size - 1)
                 members = roots[clip] == labels
                 cut = members & ~seen
-                n_relabelled = _relabel_split(merged, batch, labels, cut)
+                n_relabelled = _relabel_split(sides, labels, cut)
         if batch.n_inserted:
             # Merge at the label level: a min-label hook-and-shortcut
             # loop over the label graph the inserted edges induce, then

@@ -2,33 +2,54 @@
 
 The GraphX lesson (Xin et al.) is that analytics stay cheap under change
 when the *base* structure never mutates: edits accumulate in a small
-side structure (here: an insert log plus a tombstone set over base edge
+side structure (here: staged inserts plus a tombstone set over base edge
 ids), reads see base+delta merged, and a periodic *compaction* folds the
 delta back into a fresh immutable snapshot.  The overlay is deliberately
 dumb — no per-vertex trees, just flat arrays — because every consumer
 that needs speed (the operators) reads the merged CSR snapshot, and the
-overlay only has to make mutation O(batch) and scalar adjacency queries
-O(degree).
+overlay only has to make mutation a few array passes over the batch and
+scalar adjacency queries O(degree).
+
+Arcs are addressed by one int64 key, ``src * n + dst``.  The staged
+inserts are stored sorted by key (with a staging sequence number that
+restores insertion order for the merge), and the base arcs get a sorted
+key index built once per base, on first use — so a whole batch is
+located with a few ``searchsorted`` calls, never a per-arc Python loop.
 
 Invariants (audited by :func:`repro.graph.validate.validate_overlay`):
 
 * tombstones reference *base* edge ids only, each at most once —
-  deleting a delta-inserted edge removes it from the insert log instead;
+  deleting a delta-inserted edge un-stages it instead;
 * an inserted edge never duplicates a live edge: inserting an existing
   ``(src, dst)`` arc is a *weight update* (the base arc is tombstoned or
   the staged insert rewritten);
+* staged keys are strictly increasing, sequence numbers distinct;
 * every staged endpoint is a valid vertex id and every weight finite.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
 from repro.errors import GraphFormatError
 from repro.graph.csr import CSRMatrix
+from repro.graph.transpose import bucket_order
 from repro.types import VERTEX_DTYPE, WEIGHT_DTYPE
+
+
+def _sorted_lookup(sorted_keys: np.ndarray, keys: np.ndarray):
+    """``(pos, hit)``: each key's insertion point in ``sorted_keys`` and
+    whether the key is present there."""
+    # Sorted needles walk the haystack in order — several times faster
+    # than random probes, even counting the argsort.
+    order = np.argsort(keys)
+    pos = np.empty(keys.shape[0], dtype=np.intp)
+    pos[order] = np.searchsorted(sorted_keys, keys[order])
+    if sorted_keys.size == 0:
+        return pos, np.zeros(pos.shape, dtype=bool)
+    return pos, sorted_keys[np.minimum(pos, sorted_keys.size - 1)] == keys
 
 
 class DeltaOverlay:
@@ -41,22 +62,30 @@ class DeltaOverlay:
 
     __slots__ = (
         "base",
-        "_add_src",
-        "_add_dst",
+        "_n",
+        "_add_keys",
         "_add_w",
-        "_add_index",
+        "_add_seq",
+        "_seq",
+        "_base_keys",
+        "_base_ids",
         "_dead",
         "_dead_count",
     )
 
     def __init__(self, base: CSRMatrix) -> None:
         self.base = base
-        self._add_src: List[int] = []
-        self._add_dst: List[int] = []
-        self._add_w: List[float] = []
-        #: (src, dst) -> position in the insert log, for O(1) weight
-        #: updates and duplicate-insert detection.
-        self._add_index: Dict[Tuple[int, int], int] = {}
+        self._n = np.int64(base.get_num_vertices())
+        #: Staged inserts sorted by key, their weights, and their staging
+        #: sequence numbers (``_seq`` is the next one to hand out).
+        self._add_keys = np.empty(0, dtype=np.int64)
+        self._add_w = np.empty(0, dtype=WEIGHT_DTYPE)
+        self._add_seq = np.empty(0, dtype=np.int64)
+        self._seq = 0
+        #: Sorted base arc keys and the (ascending, per key) edge ids
+        #: they came from; None until the first lookup.
+        self._base_keys = None
+        self._base_ids = None
         #: Tombstone flags over base edge ids (lazy; None until the
         #: first delete so a pure-insert overlay costs no O(E) array).
         self._dead = None
@@ -67,7 +96,7 @@ class DeltaOverlay:
     @property
     def n_inserted(self) -> int:
         """Number of staged (live) inserted arcs."""
-        return len(self._add_src)
+        return int(self._add_keys.shape[0])
 
     @property
     def n_deleted(self) -> int:
@@ -83,121 +112,161 @@ class DeltaOverlay:
         """Edges visible through the overlay (base − dead + inserted)."""
         return self.base.get_num_edges() - self._dead_count + self.n_inserted
 
-    # -- membership --------------------------------------------------------------
+    # -- lookup ------------------------------------------------------------------
 
-    def _dead_flags(self) -> np.ndarray:
-        if self._dead is None:
-            self._dead = np.zeros(self.base.get_num_edges(), dtype=bool)
-        return self._dead
+    def keys(self, src, dst) -> np.ndarray:
+        """The int64 arc keys ``src * n + dst``."""
+        return np.asarray(src, dtype=np.int64) * self._n + np.asarray(
+            dst, dtype=np.int64
+        )
 
-    def is_dead(self, edge_id: int) -> bool:
-        """Whether base edge ``edge_id`` is tombstoned."""
-        return self._dead is not None and bool(self._dead[edge_id])
-
-    def find_live_base_edge(self, src: int, dst: int) -> int:
-        """The id of a live (un-tombstoned) base arc ``(src, dst)``, or -1.
-
-        When the base stores parallel arcs, the first live one wins —
-        mutation semantics treat ``(src, dst)`` as a single logical edge.
-        """
-        base = self.base
-        start, stop = int(base.row_offsets[src]), int(base.row_offsets[src + 1])
-        cols = base.column_indices[start:stop]
-        for k in np.nonzero(cols == dst)[0]:
-            e = start + int(k)
-            if not self.is_dead(e):
-                return e
-        return -1
-
-    def _live_base_edges(self, src: int, dst: int) -> List[int]:
-        """Every live base arc id for ``(src, dst)`` (multigraph bases)."""
-        base = self.base
-        start, stop = int(base.row_offsets[src]), int(base.row_offsets[src + 1])
-        cols = base.column_indices[start:stop]
-        return [
-            start + int(k)
-            for k in np.nonzero(cols == dst)[0]
-            if not self.is_dead(start + int(k))
-        ]
-
-    def staged_weight(self, src: int, dst: int):
-        """Weight of a staged insert for ``(src, dst)``, or None."""
-        pos = self._add_index.get((src, dst))
-        return None if pos is None else self._add_w[pos]
-
-    # -- mutation primitives -----------------------------------------------------
-
-    def stage_insert(self, src: int, dst: int, weight: float) -> List[float]:
-        """Stage arc ``(src, dst)`` with ``weight``.
-
-        Returns the weights the arc carried before when this turned out
-        to be a *weight update* (the arc was already live — staged or
-        base; base via tombstone + re-insert), else an empty list for a
-        brand-new insert.  Multigraph bases may report several replaced
-        weights: every live parallel arc is tombstoned so the merged
-        edge set never holds a duplicate of a staged insert.
-        """
-        if not np.isfinite(weight):
-            raise GraphFormatError(
-                f"edge ({src}, {dst}) weight must be finite, got {weight!r}"
+    def _live_base_arcs(self, keys: np.ndarray):
+        """``(query, edge_id)`` for every live base arc matching each key:
+        one contiguous group per query index, edge ids ascending within
+        a group."""
+        if self._base_keys is None:
+            base = self.base
+            index = np.repeat(
+                np.arange(self._n, dtype=np.int64), np.diff(base.row_offsets)
             )
-        pos = self._add_index.get((src, dst))
-        if pos is not None:
-            old = self._add_w[pos]
-            self._add_w[pos] = float(weight)
-            return [float(old)]
-        replaced = []
-        for e in self._live_base_edges(src, dst):
-            replaced.append(float(self.base.values[e]))
-            self._dead_flags()[e] = True
-            self._dead_count += 1
-        self._add_index[(src, dst)] = len(self._add_src)
-        self._add_src.append(int(src))
-        self._add_dst.append(int(dst))
-        self._add_w.append(float(weight))
-        return replaced
+            index *= self._n  # in place: the index is graph-sized
+            index += base.column_indices
+            # Rows are already grouped, so timsort only merges short
+            # per-row runs; stability keeps parallel arcs in id order.
+            self._base_ids = np.argsort(index, kind="stable")
+            self._base_keys = index[self._base_ids]
+        order = np.argsort(keys)  # sorted needles, as in _sorted_lookup
+        lo = np.searchsorted(self._base_keys, keys[order], side="left")
+        cnts = np.searchsorted(self._base_keys, keys[order], side="right") - lo
+        at = np.repeat(lo - (np.cumsum(cnts) - cnts), cnts)
+        at += np.arange(at.shape[0])
+        query, edges = np.repeat(order, cnts), self._base_ids[at]
+        if self._dead is not None:
+            alive = ~self._dead[edges]
+            query, edges = query[alive], edges[alive]
+        return query, edges
 
-    def stage_delete(self, src: int, dst: int) -> float:
-        """Tombstone the live arc ``(src, dst)``; returns its weight.
+    # -- mutation ----------------------------------------------------------------
 
-        Raises :class:`GraphFormatError` when no live arc exists — a
-        delete of nothing is a caller bug, not a no-op.
+    def stage(self, del_src, del_dst, ins_src, ins_dst, ins_w):
+        """Validate and stage one batch: removals first, then insertions.
+
+        Arguments are arrays of valid vertex ids and float weights.
+        Nothing is staged unless the whole batch is valid: each delete
+        names a live arc, at most once, and every weight is finite.  A
+        delete un-stages a staged insert, else tombstones the first live
+        base arc.  Inserting a live arc is a *weight update*: the staged
+        insert is rewritten in place, or every live base parallel arc
+        is tombstoned.  An arc inserted twice keeps the last weight.
+
+        Returns ``(ins_src, ins_dst, ins_w, rem_src, rem_dst, rem_w)`` —
+        the :class:`~repro.dynamic.dynamic_graph.MutationBatch` fields,
+        where every weight an arc carried before being replaced (base,
+        staged, or an earlier insert of this batch) is a removal.
         """
-        pos = self._add_index.get((src, dst))
-        if pos is not None:
-            # Deleting a staged insert un-stages it (swap-remove keeps
-            # the log dense; the index of the moved tail entry is fixed).
-            weight = self._add_w[pos]
-            last = len(self._add_src) - 1
-            if pos != last:
-                self._add_src[pos] = self._add_src[last]
-                self._add_dst[pos] = self._add_dst[last]
-                self._add_w[pos] = self._add_w[last]
-                self._add_index[
-                    (self._add_src[pos], self._add_dst[pos])
-                ] = pos
-            self._add_src.pop()
-            self._add_dst.pop()
-            self._add_w.pop()
-            del self._add_index[(src, dst)]
-            return float(weight)
-        base_edge = self.find_live_base_edge(src, dst)
-        if base_edge < 0:
+        n = self._n
+        dkeys = self.keys(del_src, del_dst)
+        ordered = np.sort(dkeys)
+        twice = ordered[1:][ordered[1:] == ordered[:-1]]
+        if twice.size:
+            k = int(twice[0])
             raise GraphFormatError(
-                f"cannot remove edge ({src}, {dst}): no live edge exists"
+                f"edge ({k // n}, {k % n}) removed twice in one batch"
             )
-        self._dead_flags()[base_edge] = True
-        self._dead_count += 1
-        return float(self.base.values[base_edge])
+        d_slot, d_hit = _sorted_lookup(self._add_keys, dkeys)
+        query, edges = self._live_base_arcs(dkeys)
+        found, first = np.unique(query, return_index=True)
+        d_edge = np.full(dkeys.shape[0], -1, dtype=np.int64)
+        d_edge[found] = edges[first]  # the first live parallel arc
+        missing = np.flatnonzero(~d_hit & (d_edge < 0))
+        if missing.size:
+            i = missing[0]
+            raise GraphFormatError(
+                f"cannot remove edge ({int(del_src[i])}, {int(del_dst[i])}): "
+                f"no live edge exists"
+            )
+        bad = np.flatnonzero(~np.isfinite(ins_w))
+        if bad.size:
+            i = bad[0]
+            raise GraphFormatError(
+                f"edge ({int(ins_src[i])}, {int(ins_dst[i])}) weight must be "
+                f"finite, got {float(ins_w[i])!r}"
+            )
+
+        # Removals.
+        d_w = np.empty(dkeys.shape[0], dtype=WEIGHT_DTYPE)
+        d_w[d_hit] = self._add_w[d_slot[d_hit]]
+        d_w[~d_hit] = self.base.values[d_edge[~d_hit]]
+        self._kill(d_edge[~d_hit])
+        keep = np.ones(self.n_inserted, dtype=bool)
+        keep[d_slot[d_hit]] = False
+        self._add_keys = self._add_keys[keep]
+        self._add_w = self._add_w[keep]
+        self._add_seq = self._add_seq[keep]
+
+        # Insertions: the last write per arc wins; new arcs are staged in
+        # first-occurrence order.
+        ikeys = self.keys(ins_src, ins_dst)
+        _, first = np.unique(ikeys, return_index=True)
+        _, last = np.unique(ikeys[::-1], return_index=True)
+        win = (ikeys.shape[0] - 1 - last)[np.argsort(first)]
+        superseded = np.ones(ikeys.shape[0], dtype=bool)
+        superseded[win] = False
+        w_key = ikeys[win]
+        w_w = ins_w[win].astype(WEIGHT_DTYPE)
+        slot, rewrite = _sorted_lookup(self._add_keys, w_key)
+        r_old = self._add_w[slot[rewrite]]
+        self._add_w[slot[rewrite]] = w_w[rewrite]
+        fresh = np.flatnonzero(~rewrite)
+        query, edges = self._live_base_arcs(w_key[fresh])
+        self._kill(edges)
+        self._append(w_key[fresh], w_w[fresh])
+
+        rem_key = np.concatenate(
+            [dkeys, ikeys[superseded], w_key[rewrite], w_key[fresh][query]]
+        )
+        rem_w = np.concatenate(
+            [d_w, ins_w[superseded], r_old, self.base.values[edges]]
+        )
+        return (
+            (w_key // n).astype(VERTEX_DTYPE),
+            (w_key % n).astype(VERTEX_DTYPE),
+            w_w,
+            (rem_key // n).astype(VERTEX_DTYPE),
+            (rem_key % n).astype(VERTEX_DTYPE),
+            rem_w.astype(WEIGHT_DTYPE),
+        )
+
+    def _kill(self, edges: np.ndarray) -> None:
+        """Tombstone base arcs (distinct, currently live)."""
+        if edges.size:
+            if self._dead is None:
+                self._dead = np.zeros(self.base.get_num_edges(), dtype=bool)
+            self._dead[edges] = True
+            self._dead_count += int(edges.size)
+
+    def _append(self, keys: np.ndarray, weights: np.ndarray) -> None:
+        """Stage new arcs (distinct keys, none staged yet), numbering them
+        in the given order."""
+        seq = self._seq + np.arange(keys.shape[0], dtype=np.int64)
+        self._seq += int(keys.shape[0])
+        order = np.argsort(keys)
+        at = np.searchsorted(self._add_keys, keys[order])
+        self._add_keys = np.insert(self._add_keys, at, keys[order])
+        self._add_w = np.insert(self._add_w, at, weights[order])
+        self._add_seq = np.insert(self._add_seq, at, seq[order])
 
     # -- merged reads ------------------------------------------------------------
 
     def inserted_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The staged inserts as ``(src, dst, weight)`` arrays."""
+        """The staged inserts as ``(src, dst, weight)`` arrays, in staging
+        order (un-staging an arc leaves the others' order unchanged)."""
+        order = bucket_order(self._add_seq, self._seq)
+        keys = self._add_keys[order]
         return (
-            np.asarray(self._add_src, dtype=VERTEX_DTYPE),
-            np.asarray(self._add_dst, dtype=VERTEX_DTYPE),
-            np.asarray(self._add_w, dtype=WEIGHT_DTYPE),
+            (keys // self._n).astype(VERTEX_DTYPE),
+            (keys % self._n).astype(VERTEX_DTYPE),
+            self._add_w[order],
         )
 
     def live_mask(self) -> np.ndarray:
@@ -206,17 +275,11 @@ class DeltaOverlay:
             return np.ones(self.base.get_num_edges(), dtype=bool)
         return ~self._dead
 
-    def dead_edge_ids(self) -> np.ndarray:
-        """Tombstoned base edge ids (sorted)."""
-        if self._dead is None:
-            return np.empty(0, dtype=np.int64)
-        return np.nonzero(self._dead)[0]
-
     def neighbors_of(self, v: int) -> Tuple[np.ndarray, np.ndarray]:
         """Live out-neighbors and weights of ``v`` through the overlay.
 
-        Base-order survivors first, then staged inserts in log order —
-        O(degree + inserts(v)) with no global merge.
+        Base-order survivors first, then staged inserts in staging order
+        — O(degree + log inserts) with no global merge.
         """
         base = self.base
         start, stop = int(base.row_offsets[v]), int(base.row_offsets[v + 1])
@@ -227,12 +290,13 @@ class DeltaOverlay:
             if not alive.all():
                 nbrs = nbrs[alive]
                 wts = wts[alive]
-        if self._add_src:
-            add_src, add_dst, add_w = self.inserted_arrays()
-            mine = add_src == v
-            if mine.any():
-                nbrs = np.concatenate([nbrs, add_dst[mine]])
-                wts = np.concatenate([wts, add_w[mine]])
+        lo, hi = np.searchsorted(
+            self._add_keys, [v * self._n, (v + 1) * self._n]
+        )
+        if hi > lo:
+            mine = lo + np.argsort(self._add_seq[lo:hi])
+            nbrs = np.concatenate([nbrs, self._add_keys[mine] % self._n])
+            wts = np.concatenate([wts, self._add_w[mine]])
         return nbrs.astype(VERTEX_DTYPE, copy=False), wts.astype(
             WEIGHT_DTYPE, copy=False
         )
@@ -251,7 +315,7 @@ class DeltaOverlay:
         """The full live edge set as parallel COO arrays.
 
         Base survivors keep CSR order (sources non-decreasing); inserts
-        append in log order.  The counting sort in
+        append in staging order.  The counting sort in
         :meth:`COOMatrix.to_csr_arrays` is stable, so a CSR built from
         these arrays lists each vertex's surviving base edges before its
         inserted ones — the property the round-trip tests pin down.

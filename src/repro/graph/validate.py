@@ -112,34 +112,33 @@ def validate_overlay(overlay) -> None:
     Checks, in O(base + delta):
 
     * tombstone flags cover exactly the base edge-id range, none counted
-      twice (``_dead_count`` agrees with the mask);
+      twice (``n_deleted`` agrees with the mask);
     * every staged insert endpoint is a valid vertex id, every staged
       weight finite;
-    * the staged-insert index is coherent (one log slot per arc, every
-      slot indexed);
+    * the staged inserts are coherent: keys strictly increasing (one
+      slot per arc) and staging sequence numbers distinct;
     * **no duplicate live arc across base+delta**: a staged insert whose
       ``(src, dst)`` also exists as a live (un-tombstoned) base arc
       would make the merged CSR a multigraph the mutation API promised
       not to create.
+
+    Every check is an array pass; none loops over arcs in Python.
     """
     base = overlay.base
     n = base.get_num_vertices()
     m = base.get_num_edges()
-    dead = overlay.dead_edge_ids()
-    if dead.size:
-        if int(dead.min()) < 0 or int(dead.max()) >= m:
-            raise GraphFormatError(
-                f"tombstones must reference base edge ids in [0, {m}); "
-                f"found range [{int(dead.min())}, {int(dead.max())}]"
-            )
-    if int(dead.size) != overlay.n_deleted:
+    live = overlay.live_mask()
+    if live.shape[0] != m:
         raise GraphFormatError(
-            f"tombstone count disagrees: mask has {int(dead.size)}, "
+            f"tombstone mask covers {live.shape[0]} edge ids, base has {m}"
+        )
+    n_dead = m - int(np.count_nonzero(live))
+    if n_dead != overlay.n_deleted:
+        raise GraphFormatError(
+            f"tombstone count disagrees: mask has {n_dead}, "
             f"counter says {overlay.n_deleted}"
         )
     add_src, add_dst, add_w = overlay.inserted_arrays()
-    if not (len(add_src) == len(add_dst) == len(add_w)):
-        raise GraphFormatError("staged-insert arrays disagree on length")
     if add_src.size:
         lo = min(int(add_src.min()), int(add_dst.min()))
         hi = max(int(add_src.max()), int(add_dst.max()))
@@ -150,25 +149,27 @@ def validate_overlay(overlay) -> None:
             )
         if not np.all(np.isfinite(add_w)):
             raise GraphFormatError("staged insert weights must be finite")
-    index = overlay._add_index
-    if len(index) != add_src.shape[0]:
+    keys, seq = overlay._add_keys, overlay._add_seq
+    if not (
+        keys.shape == seq.shape == add_w.shape
+        and np.all(keys[1:] > keys[:-1])
+        and np.unique(seq).shape == seq.shape
+    ):
         raise GraphFormatError(
-            f"staged-insert index has {len(index)} entries for "
-            f"{add_src.shape[0]} log slots (duplicate staged arc?)"
+            "staged inserts must be sorted by key, one slot per arc, with "
+            "distinct staging numbers (duplicate staged arc?)"
         )
-    for (s, d), pos in index.items():
-        if not (0 <= pos < add_src.shape[0]) or (
-            int(add_src[pos]) != s or int(add_dst[pos]) != d
-        ):
-            raise GraphFormatError(
-                f"staged-insert index entry ({s}, {d}) -> {pos} does not "
-                f"match the log"
-            )
     # No staged insert may duplicate a live base arc.
-    for i in range(add_src.shape[0]):
-        s, d = int(add_src[i]), int(add_dst[i])
-        if overlay.find_live_base_edge(s, d) >= 0:
-            raise GraphFormatError(
-                f"staged insert ({s}, {d}) duplicates a live base edge — "
-                f"inserting an existing arc must tombstone or rewrite it"
-            )
+    base_src = np.repeat(np.arange(n), np.diff(base.row_offsets))
+    dup = np.flatnonzero(
+        np.isin(
+            overlay.keys(add_src, add_dst),
+            overlay.keys(base_src[live], base.column_indices[live]),
+        )
+    )
+    if dup.size:
+        s, d = int(add_src[dup[0]]), int(add_dst[dup[0]])
+        raise GraphFormatError(
+            f"staged insert ({s}, {d}) duplicates a live base edge — "
+            f"inserting an existing arc must tombstone or rewrite it"
+        )

@@ -64,6 +64,18 @@ LAYER_OF_PREFIX: Dict[str, str] = {
     "service": "service",
 }
 
+#: Whole span names booked to a different layer than their prefix.
+LAYER_OF_NAME: Dict[str, str] = {
+    # A worker's kernel interval (see analyze_spans).
+    "proc:task": "operator",
+    # The dynamic write path maintains graph structure (overlay,
+    # merged snapshot); its repairs are operator work on that graph.
+    "dynamic:mutate": "graph",
+    "dynamic:snapshot": "graph",
+    "dynamic:compact": "graph",
+    "dynamic:repair": "operator",
+}
+
 #: The layers the report always enumerates (stable ordering for output).
 LAYERS = ("graph", "frontier", "operator", "loop", "comm", "resilience",
           "service", "other")
@@ -74,10 +86,9 @@ _SUPERSTEP_NAMES = ("superstep", "bucket")
 
 def layer_of(name: str) -> str:
     """The framework layer a span name belongs to."""
-    if name == "proc:task":
-        return "operator"  # a worker's kernel interval (see analyze_spans)
-    prefix = name.split(":", 1)[0]
-    return LAYER_OF_PREFIX.get(prefix, "other")
+    if name in LAYER_OF_NAME:
+        return LAYER_OF_NAME[name]
+    return LAYER_OF_PREFIX.get(name.split(":", 1)[0], "other")
 
 
 # -- normalized span records -----------------------------------------------------------

@@ -97,6 +97,10 @@ def test_layer_of_maps_span_vocabulary():
     assert layer_of("proc:round") == "comm"
     assert layer_of("proc:task") == "operator"
     assert layer_of("checkpoint:save") == "resilience"
+    for name in ("dynamic:mutate", "dynamic:snapshot", "dynamic:compact"):
+        assert layer_of(name) == "graph"
+    assert layer_of("dynamic:repair") == "operator"
+    assert layer_of("dynamic:window") == "other"
     assert layer_of("somebody:else") == "other"
 
 

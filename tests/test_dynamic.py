@@ -323,6 +323,148 @@ class TestDynamicProperties:
         assert np.array_equal(rb.levels, fb.levels)
 
 
+# -- the array overlay against a dict-based reference model ----------------------------
+
+
+class ModelRejects(Exception):
+    """The reference model refuses the batch (so must ``apply``)."""
+
+
+def model_apply(live, directed, inserts, removes):
+    """Reference semantics of one mutation batch, one arc at a time.
+
+    ``live`` maps ``(src, dst)`` to the weights of its live arcs — a
+    multigraph base's parallel arcs in edge-id order.  Returns the new
+    state and the removed / inserted ``(src, dst, weight)`` triples.
+    """
+    if not directed:
+        inserts = inserts + [(d, s, w) for s, d, w in inserts if s != d]
+        removes = removes + [(d, s) for s, d in removes if s != d]
+    if len(set(removes)) != len(removes):
+        raise ModelRejects("duplicate delete")
+    if any(not live.get(arc) for arc in removes):
+        raise ModelRejects("delete of a dead arc")
+    if any(not np.isfinite(w) for _, _, w in inserts):
+        raise ModelRejects("non-finite weight")
+    state = {arc: list(ws) for arc, ws in live.items()}
+    removed, inserted = [], {}
+    for s, d in removes:
+        removed.append((s, d, state[(s, d)].pop(0)))  # first live arc
+    for s, d, w in inserts:
+        removed += [(s, d, old) for old in state.get((s, d), [])]
+        state[(s, d)] = [w]
+        inserted[(s, d)] = w  # the last write wins
+    return state, removed, [(s, d, w) for (s, d), w in inserted.items()]
+
+
+def live_triples(state):
+    return sorted((s, d, w) for (s, d), ws in state.items() for w in ws)
+
+
+def batch_triples(src, dst, w):
+    return sorted(zip(src.tolist(), dst.tolist(), w.tolist()))
+
+
+@st.composite
+def overlay_scenarios(draw):
+    """A base graph (directed multigraph or undirected) plus a few
+    batches mixing new inserts, base and staged weight updates,
+    duplicate inserts, deletes of staged and parallel arcs, and the
+    occasional invalid batch."""
+    directed = draw(st.booleans())
+    base = draw(graphs(n_vertices=8, max_edges=30, directed=directed))
+    weight = st.sampled_from([0.5, 1.0, 2.5, 4.0, 7.5])
+    vertex = st.integers(0, base.n_vertices - 1)
+    steps = []
+    for _ in range(draw(st.integers(1, 4))):
+        pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=8))
+        inserts = [(s, d, draw(weight)) for s, d in pairs]
+        if inserts and draw(st.booleans()):
+            s, d, _ = draw(st.sampled_from(inserts))
+            inserts.append((s, d, draw(weight)))  # same arc again
+        if draw(st.integers(0, 9)) == 0:
+            inserts.append((0, 0, float("nan")))
+        steps.append(
+            (
+                inserts,
+                draw(st.integers(0, 6)),  # how many live arcs to delete
+                draw(st.permutations(range(64))),
+                draw(st.integers(0, 9)) == 0,  # add a bogus delete
+            )
+        )
+    return base, directed, draw(st.sampled_from([None, 0.25])), steps
+
+
+class TestOverlayAgainstModel:
+    @settings(max_examples=80, deadline=None, suppress_health_check=SUPPRESS)
+    @given(overlay_scenarios())
+    def test_apply_matches_reference_model(self, scenario):
+        base, directed, threshold, steps = scenario
+        dyn = DynamicGraph(base, compact_threshold=threshold)
+        csr = base.csr()
+        src = np.repeat(np.arange(base.n_vertices), np.diff(csr.row_offsets))
+        live = {}
+        for s, d, w in zip(
+            src.tolist(), csr.column_indices.tolist(), csr.values.tolist()
+        ):
+            live.setdefault((s, d), []).append(w)
+        for inserts, n_remove, shuffle, bogus in steps:
+            arcs = sorted(
+                a
+                for a, ws in live.items()
+                if ws and (directed or a[0] <= a[1])
+            )
+            picks = [i for i in shuffle if i < len(arcs)][:n_remove]
+            removes = [arcs[i] for i in picks]
+            if bogus:
+                removes.append(removes[0] if removes else (0, 1))
+            try:
+                state, removed, inserted = model_apply(
+                    live, directed, inserts, removes
+                )
+            except ModelRejects:
+                epoch, before = dyn.epoch, edge_triples(dyn.graph())
+                with pytest.raises(GraphFormatError):
+                    dyn.apply(insert=inserts, remove=removes)
+                assert dyn.epoch == epoch
+                assert edge_triples(dyn.graph()) == before
+                validate_overlay(dyn.overlay)
+                continue
+            batch = dyn.apply(insert=inserts, remove=removes)
+            assert batch_triples(
+                batch.removed_src, batch.removed_dst, batch.removed_w
+            ) == sorted(removed)
+            assert batch_triples(
+                batch.inserted_src, batch.inserted_dst, batch.inserted_w
+            ) == sorted(inserted)
+            validate_overlay(dyn.overlay)
+            assert edge_triples(dyn.graph()) == live_triples(state)
+            assert dyn.n_edges == len(live_triples(state))
+            live = state
+
+    def test_unstage_keeps_the_other_inserts_in_staging_order(self):
+        dyn = DynamicGraph(
+            from_edge_list([], n_vertices=6, directed=True),
+            compact_threshold=None,
+        )
+        dyn.insert_edges([(0, 5, 1.0), (0, 3, 2.0), (0, 4, 3.0), (0, 1, 4.0)])
+        dyn.remove_edge(0, 3)
+        assert dyn.get_neighbors(0).tolist() == [5, 4, 1]
+        assert dyn.graph().csr().get_neighbors(0).tolist() == [5, 4, 1]
+
+    def test_duplicate_insert_logs_only_the_winning_weight(self):
+        # Relaxing the superseded weight 1.0 would repair vertex 2 to
+        # distance 2.0; the arc that is live carries 5.0.
+        g = from_edge_list([(0, 1, 1.0)], n_vertices=3, directed=True)
+        dyn = DynamicGraph(g)
+        cold = sssp(g, 0)
+        batch = dyn.apply(insert=[(1, 2, 1.0), (1, 2, 5.0)])
+        assert batch.inserted_w.tolist() == [5.0]
+        assert batch.removed_w.tolist() == [1.0]
+        repaired = incremental_sssp(dyn, cold, batch=batch)
+        assert repaired.distances.tolist() == [0.0, 1.0, 6.0]
+
+
 # -- targeted repair cases -------------------------------------------------------------
 
 
@@ -395,6 +537,61 @@ class TestIncrementalRepairEdgeCases:
         batch2 = dyn.update_weight(0, 2, 50.0)  # widen: must re-raise
         repaired2 = incremental_sssp(dyn, repaired, batch=batch2, policy=policy)
         assert repaired2.distances[2] == 10.0
+
+
+class TestCCCertificate:
+    """``incremental_cc`` == a full recompute where the certificate's
+    exclusion of the batch's inserted arcs decides the answer."""
+
+    @staticmethod
+    def check(edges, n, directed, *, remove=(), insert=()):
+        g = from_edge_list(edges, n_vertices=n, directed=directed)
+        dyn = DynamicGraph(g)
+        batch = dyn.apply(remove=list(remove), insert=list(insert))
+        repaired = incremental_cc(dyn, connected_components(g), batch=batch)
+        full = connected_components(dyn.graph())
+        assert np.array_equal(repaired.labels, full.labels)
+        assert repaired.n_components == full.n_components
+        return repaired
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_crossed_reconnect_keeps_components_apart(self, directed):
+        # Two split-offs each re-attach to the *other* old component.
+        # Read through the inserted arcs, the certificate would reach
+        # both from the two roots and keep their stale labels, and the
+        # insert union would then glue all four vertices together.
+        out = self.check(
+            [(0, 5, 1.0), (1, 6, 1.0)],
+            7,
+            directed,
+            remove=[(0, 5), (1, 6)],
+            insert=[(0, 6, 1.0), (1, 5, 1.0)],
+        )
+        assert out.labels.tolist() == [0, 1, 2, 3, 4, 1, 0]
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_bridge_deletion_splits(self, directed):
+        triangles = [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)]
+        triangles += [(3, 4, 1.0), (4, 5, 1.0), (5, 3, 1.0)]
+        out = self.check(
+            triangles + [(2, 3, 1.0)], 6, directed, remove=[(2, 3)]
+        )
+        assert out.n_components == 2
+
+    def test_parallel_bridge_arc_keeps_components_joined(self):
+        # A directed multigraph base: deleting one of two parallel
+        # bridge arcs leaves the other, so nothing splits.
+        edges = [(0, 1, 1.0), (1, 2, 1.0), (1, 2, 4.0), (2, 3, 1.0)]
+        out = self.check(edges, 4, True, remove=[(1, 2)])
+        assert out.n_components == 1
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_self_loop_churn_changes_nothing(self, directed):
+        edges = [(0, 0, 1.0), (0, 1, 1.0), (2, 2, 1.0)]
+        out = self.check(
+            edges, 3, directed, remove=[(0, 0), (2, 2)], insert=[(1, 1, 2.0)]
+        )
+        assert out.labels.tolist() == [0, 0, 2]
 
 
 # -- stream driver ---------------------------------------------------------------------
