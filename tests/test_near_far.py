@@ -23,6 +23,7 @@ from repro.algorithms import sssp
 from repro.execution.workspace import Workspace
 from repro.graph import from_edge_array
 from repro.graph.generators import grid_2d
+from repro.loop import sssp_bucketed
 from repro.loop.enactor import Enactor
 from repro.observability.analysis import analyze_probe, layer_of
 from repro.observability.probe import Probe
@@ -128,6 +129,31 @@ def test_zero_mean_weight_falls_back_to_listing4():
 def test_invalid_explicit_delta_rejected(weighted_grid, delta):
     with pytest.raises(ValueError):
         sssp(weighted_grid, 0, delta=delta)
+
+
+# -- work bound ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("direction", ["push", "pull"])
+@pytest.mark.parametrize("delta", ["mean/4", None, math.inf])
+@pytest.mark.parametrize("k", [16, 24, 32])
+def test_sssp_work_is_linear_on_weighted_grids(k, delta, direction):
+    # A cost oracle: right distances are not enough.  A schedule that
+    # re-expands stale or duplicate entries passes every distance check
+    # while its edge visits grow exponentially in the grid side.
+    g = grid_2d(k, k, weighted=True, seed=42)
+    if delta == "mean/4":
+        delta = float(g.csr().values.mean()) / 4
+    stats = sssp(g, 0, delta=delta, direction=direction).stats
+    assert stats.total_edges_touched <= 2 * g.n_edges
+
+
+def test_sssp_bucketed_work_is_linear_on_weighted_grids():
+    # The priority enactor re-activates every improving arc's
+    # destination with no dedup and no stale-pop check.
+    g = grid_2d(16, 16, weighted=True, seed=42)
+    stats = sssp_bucketed(g, 0).stats
+    assert stats.total_edges_touched <= 2 * g.n_edges
 
 
 # -- resilience ------------------------------------------------------------------
