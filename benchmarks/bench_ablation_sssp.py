@@ -2,9 +2,10 @@
 
 DESIGN.md calls out the operator/frontier design choices SSSP can make
 without changing the algorithm's text: frontier dedup on/off, output
-representation, priority frontiers (delta-stepping, and the near-far
-schedule ``sssp`` runs by default — ``delta=inf`` is Listing 4 verbatim),
-and the asynchronous message-passing engine.  Each row is the same query on the
+representation, the near-far step Δ (``sssp`` runs Δ = mean weight by
+default, a quarter of it is a narrow near band, ``delta=inf`` is
+Listing 4 verbatim), and the asynchronous message-passing engine.  Each
+row is the same query on the
 same graphs; the shape tests at the bottom pin the relationships the
 ablation is expected to show.
 """
@@ -14,9 +15,14 @@ import math
 import numpy as np
 import pytest
 
-from repro.algorithms.sssp import sssp, sssp_delta_stepping
+from repro.algorithms.sssp import sssp
 from repro.comm.async_pregel import async_sssp_messages
 from repro.execution import par_vector
+
+
+def _narrow_delta(graph):
+    """A quarter of the mean edge weight: a narrow near band."""
+    return float(graph.csr().values.mean()) / 4
 
 
 @pytest.mark.benchmark(group="ablation-sssp-grid")
@@ -37,8 +43,8 @@ class TestGridAblation:
         r = benchmark(sssp, bench_grid, 0, output_representation="dense")
         assert r.stats.converged
 
-    def test_delta_stepping(self, benchmark, bench_grid):
-        r = benchmark(sssp_delta_stepping, bench_grid, 0)
+    def test_narrow_delta(self, benchmark, bench_grid):
+        r = benchmark(sssp, bench_grid, 0, delta=_narrow_delta(bench_grid))
         assert r.stats.converged
 
     def test_near_far(self, benchmark, bench_grid):
@@ -62,8 +68,10 @@ class TestRmatAblation:
         r = benchmark(sssp, bench_rmat_directed, 0, deduplicate_frontier=False)
         assert r.stats.converged
 
-    def test_delta_stepping(self, benchmark, bench_rmat_directed):
-        r = benchmark(sssp_delta_stepping, bench_rmat_directed, 0)
+    def test_narrow_delta(self, benchmark, bench_rmat_directed):
+        r = benchmark(
+            sssp, bench_rmat_directed, 0, delta=_narrow_delta(bench_rmat_directed)
+        )
         assert r.stats.converged
 
     def test_near_far(self, benchmark, bench_rmat_directed):
@@ -76,7 +84,7 @@ class TestAblationShapes:
         base = sssp(bench_grid, 0).distances
         for dist in (
             sssp(bench_grid, 0, output_representation="dense").distances,
-            sssp_delta_stepping(bench_grid, 0).distances,
+            sssp(bench_grid, 0, delta=_narrow_delta(bench_grid)).distances,
             sssp(bench_grid, 0, delta=math.inf).distances,
             async_sssp_messages(bench_grid, 0, timeout=600)[0],
         ):
@@ -91,10 +99,12 @@ class TestAblationShapes:
         ).stats.total_edges_touched
         assert on <= off
 
-    def test_priority_frontiers_cut_rounds_on_grid(self, bench_grid):
+    def test_near_far_trades_supersteps_for_edges_on_grid(self, bench_grid):
         plain = sssp(bench_grid, 0, delta=math.inf).stats
-        delta = sssp_delta_stepping(bench_grid, 0).stats.num_iterations
         nf = sssp(bench_grid, 0).stats
-        assert delta < plain.num_iterations
-        # Near-far spends more supersteps to relax far fewer edges.
+        narrow = sssp(bench_grid, 0, delta=_narrow_delta(bench_grid)).stats
+        # Near-far spends more supersteps to relax far fewer edges; a
+        # narrower band buys no further edge savings, only supersteps.
         assert nf.total_edges_touched < plain.total_edges_touched
+        assert narrow.num_iterations > nf.num_iterations > plain.num_iterations
+        assert narrow.total_edges_touched <= 2 * bench_grid.n_edges

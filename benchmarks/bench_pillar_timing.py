@@ -15,7 +15,7 @@ shape claim is iteration-structure, not wall clock (substitution note).
 import numpy as np
 import pytest
 
-from repro.algorithms.sssp import sssp, sssp_async, sssp_delta_stepping
+from repro.algorithms.sssp import sssp, sssp_async
 from repro.execution import par_vector
 
 
@@ -31,8 +31,9 @@ class TestGridTiming:
         )
         assert r.stats.converged
 
-    def test_bucketed_delta(self, benchmark, bench_grid):
-        r = benchmark(sssp_delta_stepping, bench_grid, 0)
+    def test_narrow_delta(self, benchmark, bench_grid):
+        delta = float(bench_grid.csr().values.mean()) / 4
+        r = benchmark(sssp, bench_grid, 0, delta=delta)
         assert r.stats.converged
 
 

@@ -21,15 +21,14 @@ contract instead of just timing it:
   aborted in the journal, and serves immediately.
 
 The mixed-phase latencies become a ``repro-bench-trajectory/v1`` entry
-(``--json BENCH_PR6.json``): p50/p95/p99 of successful round-trips plus
-throughput, comparable across PRs by ``repro diff`` and
-``benchmarks/report.py --compare``.
+(``--json soak.json``): p50/p95/p99 of successful round-trips plus
+throughput, comparable between runs by ``repro diff``.
 
 Usage::
 
     python benchmarks/bench_service_soak.py --smoke            # CI, ~15 s
     python benchmarks/bench_service_soak.py --seconds 30       # the soak
-    python benchmarks/bench_service_soak.py --smoke --json BENCH_PR6.json
+    python benchmarks/bench_service_soak.py --smoke --json soak.json
 """
 
 from __future__ import annotations

@@ -62,7 +62,6 @@ from repro.resilience import FaultInjector, ResiliencePolicy, RetryPolicy
 from repro.algorithms import (
     sssp,
     sssp_async,
-    sssp_delta_stepping,
     bfs,
     pagerank,
     connected_components,
@@ -109,7 +108,6 @@ __all__ = [
     "RetryPolicy",
     "sssp",
     "sssp_async",
-    "sssp_delta_stepping",
     "bfs",
     "pagerank",
     "connected_components",

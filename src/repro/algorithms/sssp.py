@@ -19,14 +19,10 @@ relaxations on a weighted grid.  ``delta=inf`` gives back the plain
 listing; distances are bit-identical under every Δ, since the final
 label is the minimum float32 path sum whichever order relaxes it.
 
-Two further variants map the other timing models:
-
-* :func:`sssp_async` — the asynchronous (Atos-style) version: each
-  active vertex is a scheduler task relaxing its out-edges, no
-  supersteps at all.  Monotone relaxation makes stale reads safe.
-* :func:`sssp_delta_stepping` — the bucketed label-correcting hybrid
-  (Meyer & Sanders), an "optional/extension" feature that shows the loop
-  structure accommodates priority-ordered frontiers.
+:func:`sssp_async` maps the other timing model: the asynchronous
+(Atos-style) version, where each active vertex is a scheduler task
+relaxing its out-edges, with no supersteps at all.  Monotone relaxation
+makes stale reads safe.
 """
 
 from __future__ import annotations
@@ -317,114 +313,3 @@ def sssp_async(
     # the same RunStats shape the BSP enactors produce.
     return SSSPResult(distances=dist, source=source, stats=enactor.last_stats)
 
-
-def sssp_delta_stepping(
-    graph: Graph,
-    source: int,
-    *,
-    delta: Optional[float] = None,
-    policy: Union[str, ExecutionPolicy] = par_vector,
-) -> SSSPResult:
-    """Delta-stepping SSSP: bucketed frontiers between Dijkstra and
-    Bellman–Ford.
-
-    Vertices are settled bucket by bucket (bucket i holds tentative
-    distances in ``[i·delta, (i+1)·delta)``); within a bucket, light
-    edges (w < delta) iterate to a fixed point, then heavy edges relax
-    once.  ``delta`` defaults to the mean edge weight, the standard
-    heuristic.
-    """
-    policy = resolve_policy(policy)
-    n = graph.n_vertices
-    source = check_vertex_in_range(source, n)
-    csr = graph.csr()
-    if delta is None:
-        delta = float(csr.values.mean()) if graph.n_edges else 1.0
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-
-    dist = np.full(n, INF, dtype=VALUE_DTYPE)
-    dist[source] = 0.0
-    light = csr.values < delta
-    heavy = ~light
-    stats = RunStats()
-
-    # Edge-masked fused relaxations (push-only kernels: the mask indexes
-    # CSR edge ids).  Identical semantics to the handwritten
-    # where(mask, new_d, INF) conditions under every policy.
-    relax_light = min_relax_condition(dist, edge_mask=light)
-    relax_heavy = min_relax_condition(dist, edge_mask=heavy)
-
-    from repro.execution.workspace import Workspace
-    from repro.utils.counters import IterationStats
-    import time as _time
-
-    workspace = Workspace()
-    bucket_idx = 0
-    finalized = np.zeros(n, dtype=bool)
-    # Fused kernels emit deduplicated frontiers already.
-    emits_sets = (
-        isinstance(policy, VectorPolicy)
-        and fused_kernel_of(relax_light) is not None
-    )
-
-    while True:
-        lo = bucket_idx * delta
-        hi = lo + delta
-        candidates = (dist >= lo) & (dist < hi) & ~finalized
-        active = np.nonzero(candidates)[0]
-        if active.size == 0:
-            pending = dist[~finalized & (dist < INF)]
-            if pending.size == 0:
-                break
-            bucket_idx = int(pending.min() // delta)
-            continue
-        t0 = _time.perf_counter()
-        edges_touched = 0
-        # Light-edge fixed point.  A vertex re-enters `active` every time
-        # its distance improves while staying in this bucket (the classic
-        # re-insertion rule); R accumulates everything ever processed here
-        # and feeds the heavy phase.
-        in_r = np.zeros(n, dtype=bool)
-        while active.size:
-            in_r[active] = True
-            f = SparseFrontier(n)
-            f.add_many_trusted(active.astype(VERTEX_DTYPE, copy=False))
-            edges_touched += int(csr.degrees_of(f.indices_view()).sum())
-            out = neighbors_expand(
-                policy, graph, f, relax_light, workspace=workspace
-            )
-            out_ids = (
-                out.indices_view()
-                if isinstance(out, SparseFrontier)
-                else out.to_indices()
-            )
-            touched = (
-                out_ids if emits_sets else dedup_ids(out_ids, n, workspace)
-            )
-            if touched.size:
-                # Re-admit only vertices whose (just-relaxed) distance
-                # still lands in this bucket — a gather over the touched
-                # set, not a fresh full-length bucket mask per round.
-                dt = dist[touched]
-                active = touched[(dt >= lo) & (dt < hi) & ~finalized[touched]]
-            else:
-                active = touched
-        # Distances of this bucket are now final; one heavy relaxation
-        # from R completes the bucket.
-        members = np.nonzero(in_r)[0]
-        finalized[members] = True
-        f = SparseFrontier.from_indices(members, n)
-        edges_touched += int(csr.degrees_of(f.indices_view()).sum())
-        neighbors_expand(policy, graph, f, relax_heavy, workspace=workspace)
-        stats.record(
-            IterationStats(
-                iteration=bucket_idx,
-                frontier_size=int(members.size),
-                edges_touched=edges_touched,
-                seconds=_time.perf_counter() - t0,
-            )
-        )
-        bucket_idx += 1
-    stats.converged = True
-    return SSSPResult(distances=dist, source=source, stats=stats)

@@ -1490,7 +1490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "algorithm",
         choices=[
-            "sssp", "sssp_async", "sssp_delta", "bfs", "cc",
+            "sssp", "sssp_async", "bfs", "cc",
             "pagerank", "pregel_pagerank",
         ],
     )

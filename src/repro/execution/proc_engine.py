@@ -47,11 +47,6 @@ from repro.operators.fused import active_flags, emit
 from repro.operators.load_balance import edge_balanced_chunks
 from repro.types import VERTEX_DTYPE
 
-#: Bounded cache of static-array placements (edge masks): big enough
-#: for every live algorithm run in a realistic process, small enough
-#: that abandoned arrays get their segments back.
-_STATIC_CACHE_LIMIT = 16
-
 Range = Tuple[int, int]
 
 _NO_UPDATES = (np.empty(0, dtype=VERTEX_DTYPE), np.empty(0, dtype=np.float64))
@@ -80,8 +75,7 @@ def destination_ranges(graph, n_workers: int) -> List[Range]:
 
 def destination_slice(csr, lo: int, hi: int) -> Dict[str, np.ndarray]:
     """The CSR restricted to the in-edges of ``[lo, hi)``: row offsets
-    over every source, targets rebased to ``lo``, weights, and the
-    original CSR edge ids (to gather CSR-indexed edge masks).  Each
+    over every source, targets rebased to ``lo``, and weights.  Each
     destination keeps its edges in CSR order."""
     targets = csr.column_indices
     ids = np.flatnonzero((targets >= lo) & (targets < hi))
@@ -89,7 +83,6 @@ def destination_slice(csr, lo: int, hi: int) -> Dict[str, np.ndarray]:
         "offsets": np.searchsorted(ids, csr.row_offsets),
         "targets": targets.take(ids) - lo,
         "weights": csr.values.take(ids),
-        "edge_ids": ids,
     }
 
 
@@ -135,7 +128,6 @@ class ProcEngine:
         # CSR/CSC views carry __slots__ without __weakref__; the facade
         # is a plain class, so it is the referent).
         self._graphs: Dict[int, _Placement] = {}
-        self._static: Dict[int, Tuple[np.ndarray, shm.Descriptor]] = {}
 
     # -- placement ---------------------------------------------------------------------
 
@@ -182,20 +174,6 @@ class ProcEngine:
                 return
             for descriptor in placed.descriptors():
                 self.arena.release(descriptor)
-
-    def _static_share(self, arr: np.ndarray) -> shm.Descriptor:
-        """Immutable placement cached by array identity (edge masks —
-        constant across one algorithm's supersteps)."""
-        key = id(arr)
-        hit = self._static.get(key)
-        if hit is not None and hit[0] is arr:
-            return hit[1]
-        if len(self._static) >= _STATIC_CACHE_LIMIT:
-            _, descriptor = self._static.pop(next(iter(self._static)))
-            self.arena.release(descriptor)
-        descriptor = self.arena.place(arr)
-        self._static[key] = (arr, descriptor)
-        return descriptor
 
     def _mirror(self, slot: str, arr: np.ndarray) -> shm.Descriptor:
         before = self.arena.bytes_copied
@@ -275,11 +253,6 @@ class ProcEngine:
                 )
                 if kernel.weighted:
                     names.append("weights")
-                if kernel.edge_mask is not None:
-                    args["edge_mask"] = _shm_ref(
-                        self._static_share(kernel.edge_mask)
-                    )
-                    names.append("edge_ids")
             else:
                 fn = "claim"
                 args["levels"] = _shm_ref(
@@ -353,7 +326,6 @@ class ProcEngine:
         shutdown_pools()
         with self._lock:
             self._graphs.clear()
-            self._static.clear()
             self.arena.close()
 
 

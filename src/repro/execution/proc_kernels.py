@@ -53,14 +53,13 @@ def min_relax_range(
     direction: str, offsets: np.ndarray, targets: np.ndarray,
     values: np.ndarray, lo: int, hi: int, *,
     weights: Optional[np.ndarray] = None, vertices: Optional[np.ndarray] = None,
-    active: Optional[np.ndarray] = None, edge_mask: Optional[np.ndarray] = None,
-    edge_ids: Optional[np.ndarray] = None,
+    active: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One worker's min-relax round over the destination range
     ``[lo, hi)``; returns the range's winners and their new values.
 
     Push: ``vertices`` is the whole frontier and ``offsets`` /
-    ``targets`` / ``weights`` / ``edge_ids`` this rank's CSR slice.
+    ``targets`` / ``weights`` this rank's CSR slice.
     Pull: ``offsets`` / ``targets`` / ``weights`` are this rank's CSC
     column slice (``targets`` holding the in-edges' sources) and
     ``vertices`` the round's candidates (``None``: every vertex).
@@ -68,8 +67,7 @@ def min_relax_range(
     fold = np.empty(hi - lo, dtype=values.dtype)
     if direction == "push":
         winners = relax_push(
-            offsets, targets, weights, values, vertices, lo=lo, mask=edge_mask,
-            edge_ids=edge_ids, out=fold,
+            offsets, targets, weights, values, vertices, lo=lo, out=fold,
         )
     else:
         winners = relax_pull(

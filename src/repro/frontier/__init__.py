@@ -27,11 +27,9 @@ from repro.frontier.sparse import SparseFrontier
 from repro.frontier.dense import DenseFrontier
 from repro.frontier.queue import AsyncQueueFrontier
 from repro.frontier.edge import EdgeFrontier
-from repro.frontier.bucketed import BucketedFrontier
 from repro.frontier.convert import convert, auto_select, make_frontier
 
 __all__ = [
-    "BucketedFrontier",
     "Frontier",
     "FrontierKind",
     "SparseFrontier",

@@ -135,7 +135,7 @@ def summarize(graph: Graph, *, diameter_probes: int = 4, seed: SeedLike = 0) -> 
     if deg.skew > 10:
         hints.append("hub-skewed: prefer edge-balanced chunking / pull on wide frontiers")
     if diameter > 50:
-        hints.append("high diameter: many supersteps; consider async or priority frontiers")
+        hints.append("high diameter: many supersteps; consider async, or tune sssp's near-far delta")
     if deg.skew <= 10 and diameter <= 50:
         hints.append("well-conditioned: defaults (push, vertex chunks, sparse frontier) suffice")
     return {

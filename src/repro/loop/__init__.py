@@ -25,11 +25,8 @@ from repro.loop.convergence import (
 )
 from repro.loop.enactor import Enactor
 from repro.loop.async_enactor import AsyncEnactor
-from repro.loop.priority_enactor import PriorityEnactor, sssp_bucketed
 
 __all__ = [
-    "PriorityEnactor",
-    "sssp_bucketed",
     "ConvergenceCondition",
     "EmptyFrontier",
     "MaxIterations",

@@ -8,8 +8,8 @@ layer — reports through one ambient :class:`Probe`:
 
 * :class:`Tracer` — nested spans (``superstep``, ``operator:advance``,
   ``scheduler:task``, ``mailbox:deliver``, ``checkpoint:save``, ...)
-  with structured attributes (frontier size, edges expanded, bucket id,
-  worker id) and thread-safe bounded buffering;
+  with structured attributes (frontier size, edges expanded, worker id)
+  and thread-safe bounded buffering;
 * :class:`MetricsRegistry` — named counters/gauges/histograms unifying
   the legacy ``ResilienceCounters`` and ``RunStats`` accounting;
 * exporters — Chrome trace-event JSON (open in Perfetto, one track per

@@ -24,7 +24,7 @@ Chrome trace file — the engine reconstructs the span tree and derives:
   ``scheduler:task`` / ``pool:task`` / ``proc:task`` spans (the last
   stitched back from ``par_proc`` worker processes), and the classic
   imbalance factor ``t_max / t_mean`` (1.0 = perfectly balanced);
-* the **frontier timeline** — one row per superstep/bucket with frontier
+* the **frontier timeline** — one row per superstep with frontier
   size, density, edges expanded, and the direction / fused-kernel /
   representation decisions PR 3's adaptive dispatch recorded on
   ``operator:advance`` spans;
@@ -51,7 +51,6 @@ LAYER_OF_PREFIX: Dict[str, str] = {
     # layer — same attribution slot as advance/filter.
     "linalg": "operator",
     "superstep": "loop",
-    "bucket": "loop",
     "async": "loop",
     "scheduler": "loop",
     "pool": "loop",
@@ -79,10 +78,6 @@ LAYER_OF_NAME: Dict[str, str] = {
 #: The layers the report always enumerates (stable ordering for output).
 LAYERS = ("graph", "frontier", "operator", "loop", "comm", "resilience",
           "service", "other")
-
-#: Span names that mark one loop iteration (a frontier-timeline row).
-_SUPERSTEP_NAMES = ("superstep", "bucket")
-
 
 def layer_of(name: str) -> str:
     """The framework layer a span name belongs to."""
@@ -312,7 +307,7 @@ class CriticalPathEntry:
 
 @dataclass
 class SuperstepRow:
-    """One frontier-timeline row (a superstep or a priority bucket)."""
+    """One frontier-timeline row (a superstep)."""
 
     index: int
     iteration: Any
@@ -700,7 +695,7 @@ def analyze_spans(
     else:
         imbalance = 1.0
 
-    # Frontier timeline from superstep/bucket spans, joined with the
+    # Frontier timeline from superstep spans, joined with the
     # adaptive-dispatch attributes on their operator:advance children.
     supersteps: List[SuperstepRow] = []
     flips = 0
@@ -708,14 +703,14 @@ def analyze_spans(
     step_spans = [
         n
         for n in nodes
-        if n.name in _SUPERSTEP_NAMES and n.thread_id == driver_thread
+        if n.name == "superstep" and n.thread_id == driver_thread
     ]
     step_spans.sort(key=lambda n: n.start)
     for i, n in enumerate(step_spans):
         attrs = n.attrs
         row = SuperstepRow(
             index=i,
-            iteration=attrs.get("iteration", attrs.get("bucket", i)),
+            iteration=attrs.get("iteration", i),
             seconds=n.duration,
             frontier_size=attrs.get("frontier_size"),
             output_size=attrs.get("output_frontier_size"),

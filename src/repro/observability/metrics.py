@@ -186,7 +186,7 @@ class MetricsRegistry:
 
     def record_run(self, stats, prefix: str = "loop") -> None:
         """Fold a :class:`~repro.utils.counters.RunStats` into the
-        standard loop metrics (the BSP/priority/async parity shape)."""
+        standard loop metrics (the BSP/async parity shape)."""
         self.counter(f"{prefix}.supersteps").increment(stats.num_iterations)
         self.counter(f"{prefix}.edges_expanded").increment(
             stats.total_edges_touched

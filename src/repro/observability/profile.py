@@ -7,7 +7,7 @@ probe (spans + metrics), the per-iteration :class:`RunStats`, the result
 values, and the end-to-end wall time.
 
 Profiled algorithms deliberately span the timing models (BSP enactor,
-priority enactor, asynchronous scheduler, Pregel engine) so one command
+asynchronous scheduler, Pregel engine) so one command
 compares the same workload across the paper's §III-A axis with uniform
 output.
 
@@ -67,12 +67,6 @@ def _run_sssp_async(graph, source, policy, num_workers, backend="native"):
     return sssp_async(graph, source, num_workers=num_workers)
 
 
-def _run_sssp_delta(graph, source, policy, num_workers, backend="native"):
-    from repro.algorithms import sssp_delta_stepping
-
-    return sssp_delta_stepping(graph, source, policy=policy)
-
-
 def _run_bfs(graph, source, policy, num_workers, backend="native"):
     from repro.algorithms import bfs
 
@@ -101,7 +95,6 @@ def _run_pregel_pagerank(graph, source, policy, num_workers, backend="native"):
 PROFILED_ALGORITHMS: Dict[str, tuple] = {
     "sssp": (_run_sssp, "distances"),
     "sssp_async": (_run_sssp_async, "distances"),
-    "sssp_delta": (_run_sssp_delta, "distances"),
     "bfs": (_run_bfs, "levels"),
     "cc": (_run_cc, "labels"),
     "pagerank": (_run_pagerank, "ranks"),

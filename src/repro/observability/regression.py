@@ -2,23 +2,22 @@
 
 Compares workload timings between any two of:
 
-* ``BENCH_*.json`` trajectory entries (schema
-  ``repro-bench-trajectory/v1`` — each workload's ``seconds`` is already
-  a best-of-n statistic, recorded in its ``trials`` field);
+* trajectory entries (schema ``repro-bench-trajectory/v1``, e.g. the
+  service soak's ``--json`` output — each workload's ``seconds`` is
+  already a best-of-n statistic, recorded in its ``trials`` field);
 * run-ledger records (schema ``repro-run-ledger/v1``);
 * raw dicts of the same shapes (what the tests construct).
 
 The comparison is deliberately the one benchmark farms actually hold
 up under: each side's number is the *minimum* over its trials (the
-least-noise-contaminated estimate of steady state — see
-``benchmarks/report.py``), and a workload regresses when the candidate
-is more than ``threshold`` relatively slower than the baseline *and*
-slower by more than ``min_seconds`` absolutely (sub-noise-floor
-workloads cannot flag).  Improvements are reported symmetrically but
+least-noise-contaminated estimate of steady state), and a workload
+regresses when the candidate is more than ``threshold`` relatively
+slower than the baseline *and* slower by more than ``min_seconds``
+absolutely (sub-noise-floor workloads cannot flag).  Improvements are reported symmetrically but
 never fail the gate.
 
-Used by ``repro diff``, ``benchmarks/report.py --compare``, and the CI
-smoke job's ``BENCH_PR(n-1)`` vs ``BENCH_PRn`` gate.
+Used by ``repro diff``.  The benchmark suite's own gate is
+``benchmarks/suite/run.py --compare``.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 A *span* is one timed, named region of a run (a superstep, an operator
 call, a scheduler task, a checkpoint save, ...) carrying structured
-attributes (frontier size, edges expanded, bucket id, worker id).  Spans
+attributes (frontier size, edges expanded, worker id).  Spans
 nest: each records the id of the span that was open on the same thread
 when it started, which is how a Chrome trace reconstructs the stack per
 worker track.
@@ -18,7 +18,6 @@ straight onto the paper's essential components:
 span name              essential component
 ===================== =============================================
 ``superstep``          4 — iterative loop structure
-``bucket``             4 — loop structure (priority ordering)
 ``operator:advance``   3 — operators (traversal)
 ``operator:filter``    3 — operators (contraction)
 ``operator:reduce``    5 — convergence conditions

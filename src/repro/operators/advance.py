@@ -320,9 +320,7 @@ def neighbors_expand(
     output = _make_output(output_representation, graph.n_vertices)
 
     # Fused single-pass routing: only the vectorized overload, and only
-    # when the condition carries a kernel that supports the direction
-    # (edge-masked kernels are push-only — CSC edge ids index the
-    # transposed layout).
+    # when the condition carries a kernel that supports the direction.
     kernel = None
     if isinstance(policy, VectorPolicy):
         kernel = fused_kernel_of(condition)

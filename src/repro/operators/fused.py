@@ -6,7 +6,7 @@ is semantically three steps but does not have to be three *passes*.
 For the condition shapes that dominate graph analytics the whole chain
 collapses into one vectorized kernel (Gunrock's fused-operator trick):
 
-* **min-relax** — SSSP / delta-stepping / CC label propagation:
+* **min-relax** — SSSP / CC label propagation:
   ``candidate = values[src] (+ weight); atomic-min into values[dst];
   emit improved destinations``;
 * **claim-unvisited** — BFS discovery: ``emit destinations whose level
@@ -55,7 +55,7 @@ from repro.graph.graph import Graph
 from repro.operators.conditions import bulk_condition
 from repro.execution.atomics import bulk_min_relax
 from repro.execution.workspace import Workspace
-from repro.types import INF, VERTEX_DTYPE
+from repro.types import VERTEX_DTYPE
 
 #: Attribute carrying a condition's fused kernel (when eligible).
 FUSED_ATTR = "__repro_fused_kernel__"
@@ -328,17 +328,14 @@ def _claim(current, dsts, sources_of, parents, unreached, workspace):
 def relax_push(
     offsets: np.ndarray, targets: np.ndarray, weights: Optional[np.ndarray],
     values: np.ndarray, vertices: np.ndarray, *, lo: int = 0,
-    mask: Optional[np.ndarray] = None, edge_ids: Optional[np.ndarray] = None,
     out: Optional[np.ndarray] = None, workspace: Optional[Workspace] = None,
 ) -> np.ndarray:
     """Min-relax ``vertices``' out-edges into a destination range.
 
     ``offsets`` / ``targets`` / ``weights`` are a CSR over every source
     whose targets are range-local: the whole graph's, or one worker's
-    slice holding only the in-edges of its range.  ``mask`` is indexed
-    by CSR edge id; ``edge_ids`` maps a slice's edges back to those ids
-    (``None``: the arrays *are* the CSR).  Improved values are folded
-    into ``out`` (``None``: ``values[lo:]`` in place).
+    slice holding only the in-edges of its range.  Improved values are
+    folded into ``out`` (``None``: ``values[lo:]`` in place).
     """
     edges = _push_edges(offsets, targets, vertices, workspace)
     if edges is None:
@@ -349,10 +346,6 @@ def relax_push(
     cand = values.take(vertices).repeat(counts)
     if weights is not None:
         cand += weights.take(seg)
-    if mask is not None:
-        live = mask.take(seg if edge_ids is None else edge_ids.take(seg))
-        dsts = dsts.compress(live)
-        cand = cand.compress(live)
     return _fold_min(values[lo:], dsts, cand, out, workspace)
 
 
@@ -413,7 +406,7 @@ def claim_pull(
 
 
 class MinRelaxKernel(FusedKernel):
-    """Fused relax-and-emit: the SSSP / delta-stepping / CC shape.
+    """Fused relax-and-emit: the SSSP / CC shape.
 
     ``candidate[e] = values[src(e)] (+ weight(e) when weighted)``,
     batched ``atomic::min`` into ``values``, output = the (deduplicated,
@@ -421,25 +414,13 @@ class MinRelaxKernel(FusedKernel):
     :func:`~repro.execution.atomics.bulk_min_relax` run inside the
     expand, with no intermediate edge tuple materialized for the
     condition protocol.
-
-    ``edge_mask`` restricts relaxation to a fixed edge subset (delta
-    stepping's light/heavy split).  Masked kernels are push-only: the
-    mask indexes CSR edge ids, which do not survive the transpose.
     """
 
     name = "min_relax"
 
-    def __init__(
-        self,
-        values: np.ndarray,
-        *,
-        weighted: bool = True,
-        edge_mask: Optional[np.ndarray] = None,
-    ) -> None:
+    def __init__(self, values: np.ndarray, *, weighted: bool = True) -> None:
         self.values = values
         self.weighted = weighted
-        self.edge_mask = edge_mask
-        self.supports_pull = edge_mask is None
 
     def push(self, graph, vertices, output, workspace):
         """Relax the frontier's out-edges in one batched min pass."""
@@ -447,7 +428,7 @@ class MinRelaxKernel(FusedKernel):
         winners = relax_push(
             csr.row_offsets, csr.column_indices,
             csr.values if self.weighted else None, self.values, vertices,
-            mask=self.edge_mask, workspace=workspace,
+            workspace=workspace,
         )
         return emit(output, winners) if winners.size else output
 
@@ -518,12 +499,7 @@ class ClaimLevelsKernel(FusedKernel):
 # -- condition factories ------------------------------------------------------------
 
 
-def min_relax_condition(
-    values: np.ndarray,
-    *,
-    weighted: bool = True,
-    edge_mask: Optional[np.ndarray] = None,
-) -> Callable:
+def min_relax_condition(values: np.ndarray, *, weighted: bool = True) -> Callable:
     """A bulk min-relax condition carrying its fused kernel.
 
     Under any policy the returned condition behaves exactly like the
@@ -533,31 +509,19 @@ def min_relax_condition(
     whole superstep in one pass.
     """
 
-    if edge_mask is None and weighted:
+    if weighted:
 
         @bulk_condition
         def condition(srcs, dsts, edges, weights):
             return bulk_min_relax(values, dsts, values[srcs] + weights)
 
-    elif edge_mask is None:
+    else:
 
         @bulk_condition
         def condition(srcs, dsts, edges, weights):
             return bulk_min_relax(values, dsts, values[srcs])
 
-    else:
-
-        @bulk_condition
-        def condition(srcs, dsts, edges, weights):
-            mask = edge_mask[edges]
-            cand = np.where(mask, values[srcs] + weights, INF)
-            return bulk_min_relax(values, dsts, cand) & mask
-
-    setattr(
-        condition,
-        FUSED_ATTR,
-        MinRelaxKernel(values, weighted=weighted, edge_mask=edge_mask),
-    )
+    setattr(condition, FUSED_ATTR, MinRelaxKernel(values, weighted=weighted))
     return condition
 
 

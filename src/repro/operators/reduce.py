@@ -1,7 +1,7 @@
 """Reductions over per-vertex values, optionally restricted to a frontier.
 
 Convergence conditions are often reductions — "has any rank changed more
-than epsilon?" is a max-reduce; delta-stepping's next bucket is a
+than epsilon?" is a max-reduce; near-far's next threshold is a
 min-reduce.  The vectorized overload is a single NumPy reduction; the
 threaded overload reduces per chunk then combines (the classic two-level
 parallel reduction tree), which tests verify agrees exactly for

@@ -26,10 +26,6 @@ import numpy as np
 
 from repro.errors import CheckpointError
 
-#: Checkpoint kinds the enactors produce.
-KIND_BSP = "bsp"
-KIND_PRIORITY = "priority"
-
 
 @dataclass
 class Checkpoint:
@@ -38,8 +34,8 @@ class Checkpoint:
     Attributes
     ----------
     superstep:
-        Completed supersteps (BSP) or drained buckets (priority) at the
-        time of the snapshot; resume continues from here.
+        Completed supersteps at the time of the snapshot; resume
+        continues from here.
     frontier_indices:
         Active vertex ids entering the next superstep.
     capacity:
@@ -50,11 +46,6 @@ class Checkpoint:
         checkpoints (copy-on-write); treat as immutable.
     context:
         Shallow copy of the loop's context dict.
-    kind:
-        ``"bsp"`` or ``"priority"``.
-    extra:
-        Kind-specific state — the priority enactor stores its bucket
-        table and current bucket index here.
     """
 
     superstep: int
@@ -62,8 +53,6 @@ class Checkpoint:
     capacity: int
     arrays: Dict[str, np.ndarray]
     context: Dict[str, object] = field(default_factory=dict)
-    kind: str = KIND_BSP
-    extra: Dict[str, object] = field(default_factory=dict)
 
     def restore_arrays(self, targets: Dict[str, np.ndarray]) -> None:
         """Copy every snapshot back into the live arrays, in place.
@@ -166,9 +155,7 @@ class CheckpointStore:
         meta = {
             "superstep": ckpt.superstep,
             "capacity": ckpt.capacity,
-            "kind": ckpt.kind,
             "context": ckpt.context,
-            "extra": ckpt.extra,
         }
         try:
             payload["__meta__"] = np.frombuffer(
@@ -176,13 +163,14 @@ class CheckpointStore:
             )
         except TypeError as exc:
             raise CheckpointError(
-                f"checkpoint context/extra not JSON-serializable: {exc}"
+                f"checkpoint context not JSON-serializable: {exc}"
             ) from exc
         np.savez(path, **payload)
 
     @staticmethod
     def load(path: str) -> Checkpoint:
-        """Read a checkpoint written by :meth:`dump`."""
+        """Read a checkpoint written by :meth:`dump` (older files' ``kind``
+        and ``extra`` keys are ignored)."""
         try:
             with np.load(path) as data:
                 meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
@@ -202,6 +190,4 @@ class CheckpointStore:
             capacity=int(meta["capacity"]),
             arrays=arrays,
             context=dict(meta.get("context", {})),
-            kind=meta.get("kind", KIND_BSP),
-            extra=dict(meta.get("extra", {})),
         )

@@ -6,7 +6,7 @@ service cannot.  Every query the service layer admits carries a
 explicit cancel flag — and the loop/execution layers consult it at their
 natural safe points:
 
-* the BSP and priority enactors check at superstep/bucket boundaries;
+* the BSP enactor checks at superstep boundaries;
 * the async schedulers fold the remaining budget into their quiescence
   timeout and abort their wait when the token fires;
 * :class:`~repro.resilience.retry.RetryPolicy` stops retrying (and

@@ -18,7 +18,7 @@ under overload and failure.  Pieces, each its own module:
 
 Deadlines ride on :mod:`repro.resilience.deadline` cancel tokens, which
 the enactors, schedulers, and Pregel engine honor at their superstep /
-bucket / quiescence boundaries — see ``docs/service.md``.
+quiescence boundaries — see ``docs/service.md``.
 """
 
 from repro.service.admission import AdmissionController

@@ -261,14 +261,13 @@ def _run_sssp(graph, variant, ctx):
 
 
 def _run_sssp_delta(graph, variant, ctx):
-    return algorithms.sssp_delta_stepping(
-        graph, ctx.source, policy=variant.policy or "par_vector"
-    ).distances
-
-
-def _run_sssp_pull(graph, variant, ctx):
-    return algorithms.sssp_pull(
-        graph, ctx.source, policy=variant.policy or "par_vector"
+    # A quarter of the mean weight: a narrow near band, so the far pile
+    # is exercised on every weighted pool graph.
+    values = graph.csr().values
+    mean = float(values.mean()) if values.size else 0.0
+    return algorithms.sssp(
+        graph, ctx.source, delta=mean / 4 if mean > 0 else None,
+        **_sssp_kwargs(variant),
     ).distances
 
 
@@ -315,25 +314,11 @@ register(
         run=_run_sssp_delta,
         baseline=_baseline_dijkstra,
         compare=_cmp_distances,
-        axes=Axes(policies=STANDARD_POLICIES, fused=(True, False)),
+        axes=Axes(policies=STANDARD_POLICIES, directions=("push", "pull")),
         baseline_name="dijkstra",
         comparator_name="float-atol",
         requires=("has_vertices", "nonnegative"),
-        description="delta-stepping bucketed SSSP",
-    )
-)
-
-register(
-    OracleSpec(
-        name="sssp_pull",
-        run=_run_sssp_pull,
-        baseline=_baseline_dijkstra,
-        compare=_cmp_distances,
-        axes=Axes(policies=STANDARD_POLICIES),
-        baseline_name="dijkstra",
-        comparator_name="float-atol",
-        requires=("has_vertices", "nonnegative"),
-        description="pull-direction SSSP over the CSC view",
+        description="near-far SSSP with a narrow step (delta = mean/4)",
     )
 )
 

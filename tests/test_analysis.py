@@ -10,9 +10,6 @@ diff`` / ``repro ledger`` CLI surface.
 from __future__ import annotations
 
 import json
-import subprocess
-import sys
-import os
 
 import pytest
 
@@ -36,8 +33,6 @@ from repro.observability.ledger import (
 from repro.observability.probe import Probe
 from repro.observability.profile import profile_algorithm
 from repro.observability.regression import compare
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 # -- synthetic span helpers -----------------------------------------------------------
@@ -356,26 +351,6 @@ def test_gate_ledger_records_and_missing_workloads():
     assert both.missing == ["b", "c"]
     with pytest.raises(ValueError):
         compare({"schema": "nope"}, _entry(a=0.1))
-
-
-@pytest.mark.slow
-def test_report_py_compare_subprocess_gate(tmp_path):
-    """The CI entry point: nonzero exit on a 3x regression."""
-    base, cand = tmp_path / "a.json", tmp_path / "b.json"
-    base.write_text(json.dumps(_entry(sssp_grid=0.100)))
-    cand.write_text(json.dumps(_entry(sssp_grid=0.300)))
-    script = os.path.join(REPO_ROOT, "benchmarks", "report.py")
-    ok = subprocess.run(
-        [sys.executable, script, "--compare", str(base), str(base)],
-        capture_output=True, text=True,
-    )
-    assert ok.returncode == 0, ok.stderr
-    bad = subprocess.run(
-        [sys.executable, script, "--compare", str(base), str(cand)],
-        capture_output=True, text=True,
-    )
-    assert bad.returncode == 1
-    assert "REGRESSED" in bad.stdout
 
 
 # -- CLI surface ----------------------------------------------------------------------

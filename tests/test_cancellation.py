@@ -4,8 +4,8 @@ that a killed query leaves every execution engine reusable.
 The service story rests on two properties exercised here:
 
 * **Propagation** — an ambient :class:`CancelToken` stops the BSP
-  enactor, the priority enactor, both async schedulers, and the Pregel
-  engine at their next superstep/bucket/quiescence boundary, surfacing
+  enactor, both async schedulers, and the Pregel engine at their next
+  superstep/quiescence boundary, surfacing
   :class:`DeadlineExceeded` / :class:`QueryCancelled` (never a bare
   ``TimeoutError``, which retry policies would treat as transient).
 * **Reusability** — after a cancelled run, thread pools, schedulers,
@@ -23,7 +23,6 @@ from repro.algorithms.bfs import bfs
 from repro.algorithms.pagerank import pagerank
 from repro.algorithms.ppr import personalized_pagerank, ppr_forward_push
 from repro.algorithms.sssp import sssp, sssp_async
-from repro.loop.priority_enactor import sssp_bucketed
 from repro.comm.pregel import PregelEngine, VertexProgram
 from repro.errors import (
     CancellationError,
@@ -186,11 +185,6 @@ class TestEnactorCancellation:
         with token:
             with pytest.raises(QueryCancelled):
                 bfs(grid, 0)
-
-    def test_priority_enactor_deadline(self, grid):
-        with expired_token():
-            with pytest.raises(DeadlineExceeded, match="bucket"):
-                sssp_bucketed(grid, 0)
 
     def test_async_enactor_deadline(self, grid):
         baseline = threading.active_count()

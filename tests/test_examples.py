@@ -33,7 +33,7 @@ class TestExamples:
     def test_road_network_routing_small(self):
         proc = run_example("road_network_routing.py", "16")
         assert proc.returncode == 0, proc.stderr
-        assert "delta-stepping" in proc.stdout
+        assert "listing 4" in proc.stdout and "sssp pull" in proc.stdout
         assert "dijkstra" in proc.stdout
 
     def test_social_network_analysis_small(self):

@@ -1,5 +1,5 @@
 """Tests for the extension features: near-far SSSP schedule, PPR (power + push),
-SpGEMM, random walks, bucketed frontier, async message-passing engines.
+SpGEMM, random walks, async message-passing engines.
 
 These cover the paper's "look ahead" direction — more of TLAV's design
 space under the same abstraction — and the extra algorithms of the
@@ -27,8 +27,7 @@ from repro.comm import (
     async_components_messages,
     async_sssp_messages,
 )
-from repro.errors import CommunicationError, FrontierError, GraphFormatError
-from repro.frontier.bucketed import BucketedFrontier
+from repro.errors import CommunicationError, GraphFormatError
 from repro.graph import from_edge_list
 from repro.graph.generators import chain, grid_2d, rmat, star, watts_strogatz
 from repro.types import INF
@@ -209,57 +208,6 @@ class TestRandomWalks:
     def test_bad_starts_rejected(self, small_ws):
         with pytest.raises(ValueError):
             random_walks(small_ws, [small_ws.n_vertices], 3)
-
-
-class TestBucketedFrontier:
-    def test_priority_placement(self):
-        f = BucketedFrontier(10, delta=2.0)
-        f.add_with_priority(1, 0.5)   # bucket 0
-        f.add_with_priority(2, 3.0)   # bucket 1
-        f.add_with_priority(3, 10.0)  # bucket 5
-        assert f.size() == 1
-        assert f.total_size() == 3
-        assert f.to_indices().tolist() == [1]
-
-    def test_bucket_rotation(self):
-        f = BucketedFrontier.from_priorities(
-            [1, 2, 3], [0.5, 2.5, 7.0], 10, delta=1.0
-        )
-        assert f.take_current().tolist() == [1]
-        assert f.advance_bucket()
-        assert f.current_bucket == 2
-        assert f.take_current().tolist() == [2]
-        assert f.advance_bucket()
-        assert f.take_current().tolist() == [3]
-        assert not f.advance_bucket()
-        assert f.is_exhausted()
-
-    def test_late_arrivals_clamp_to_current(self):
-        f = BucketedFrontier(10, delta=1.0)
-        f.current_bucket = 5
-        f.add_with_priority(2, 0.1)  # earlier band -> clamped
-        assert f.size() == 1
-
-    def test_interface_add_lands_current(self):
-        f = BucketedFrontier(10, delta=1.0)
-        f.add(4)
-        f.add_many([5, 6])
-        assert sorted(f.to_indices().tolist()) == [4, 5, 6]
-
-    def test_validation(self):
-        with pytest.raises(FrontierError):
-            BucketedFrontier(10, delta=0)
-        f = BucketedFrontier(10, delta=1.0)
-        with pytest.raises(FrontierError):
-            f.add_with_priority(10, 1.0)
-        with pytest.raises(FrontierError):
-            f.add_with_priorities([1, 2], [1.0])
-
-    def test_copy_independent(self):
-        f = BucketedFrontier.from_priorities([1], [0.5], 10, 1.0)
-        c = f.copy()
-        f.clear()
-        assert c.total_size() == 1
 
 
 class TestAsyncMessageEngines:

@@ -13,7 +13,7 @@ import pytest
 
 from repro.algorithms.bfs import bfs
 from repro.algorithms.cc import connected_components
-from repro.algorithms.sssp import sssp, sssp_delta_stepping
+from repro.algorithms.sssp import sssp
 from repro.frontier.dense import DenseFrontier
 from repro.frontier.sparse import SparseFrontier
 from repro.graph import from_edge_list
@@ -75,9 +75,10 @@ class TestFusedEqualsUnfused:
         assert np.array_equal(fused.labels, plain.labels)
         assert fused.n_components == plain.n_components
 
-    def test_delta_stepping_masked_kernels(self, any_graph):
-        fused = sssp_delta_stepping(any_graph, 0, policy="par_vector")
-        plain = sssp_delta_stepping(any_graph, 0, policy="seq")
+    def test_narrow_delta_distances_identical(self, any_graph):
+        delta = float(any_graph.csr().values.mean()) / 4
+        fused = sssp(any_graph, 0, policy="par_vector", delta=delta)
+        plain = sssp(any_graph, 0, policy="seq", delta=delta)
         assert np.array_equal(fused.distances, plain.distances)
 
     def test_condition_alone_is_policy_neutral(self, any_graph):
@@ -125,34 +126,8 @@ class TestFusedRouting:
         kernel = fused_kernel_of(cond)
         assert kernel is not None and kernel.supports_pull
 
-    def test_masked_kernel_is_push_only(self):
-        values = np.full(4, INF, dtype=np.float32)
-        mask = np.array([True, False])
-        kernel = fused_kernel_of(min_relax_condition(values, edge_mask=mask))
-        assert not kernel.supports_pull
-
     def test_plain_condition_not_fused(self):
         assert fused_kernel_of(lambda s, d, e, w: True) is None
-
-    def test_masked_pull_falls_back_and_stays_correct(self, diamond_graph):
-        """Pull with a push-only kernel routes through the generic
-        pipeline; results still match the push run."""
-        m = diamond_graph.n_edges
-        dist_push = np.full(4, INF, dtype=np.float32)
-        dist_push[0] = 0.0
-        dist_pull = dist_push.copy()
-        all_edges = np.ones(m, dtype=bool)
-        f = SparseFrontier.from_indices([0], 4)
-        neighbors_expand(
-            "par_vector", diamond_graph, f,
-            min_relax_condition(dist_push, edge_mask=all_edges),
-        )
-        neighbors_expand(
-            "par_vector", diamond_graph, f.copy(),
-            min_relax_condition(dist_pull, edge_mask=all_edges),
-            direction="pull",
-        )
-        assert np.array_equal(dist_push, dist_pull)
 
     def test_fused_output_matches_generic(self, weighted_grid):
         """One advance, fused vs generic, same output set and values."""

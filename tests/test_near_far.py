@@ -23,7 +23,6 @@ from repro.algorithms import sssp
 from repro.execution.workspace import Workspace
 from repro.graph import from_edge_array
 from repro.graph.generators import grid_2d
-from repro.loop import sssp_bucketed
 from repro.loop.enactor import Enactor
 from repro.observability.analysis import analyze_probe, layer_of
 from repro.observability.probe import Probe
@@ -145,14 +144,6 @@ def test_sssp_work_is_linear_on_weighted_grids(k, delta, direction):
     if delta == "mean/4":
         delta = float(g.csr().values.mean()) / 4
     stats = sssp(g, 0, delta=delta, direction=direction).stats
-    assert stats.total_edges_touched <= 2 * g.n_edges
-
-
-def test_sssp_bucketed_work_is_linear_on_weighted_grids():
-    # The priority enactor re-activates every improving arc's
-    # destination with no dedup and no stale-pop check.
-    g = grid_2d(16, 16, weighted=True, seed=42)
-    stats = sssp_bucketed(g, 0).stats
     assert stats.total_edges_touched <= 2 * g.n_edges
 
 

@@ -29,7 +29,6 @@ from repro.algorithms import (
     connected_components,
     pagerank,
     sssp,
-    sssp_delta_stepping,
 )
 from repro.execution import par_proc, shm
 from repro.execution.policy import ProcPolicy
@@ -108,13 +107,9 @@ def cut_cases(draw):
         draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n)), dtype=np.int64
     )
     active = np.asarray(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    mask = np.asarray(
-        draw(st.lists(st.booleans(), min_size=g.n_edges, max_size=g.n_edges)),
-        dtype=bool,
-    )
     candidates = draw(st.one_of(st.none(), st.just(frontier[::-1].copy())))
     ranges = list(zip(bounds[:-1], bounds[1:]))
-    return g, ranges, frontier, values, levels, active, mask, candidates
+    return g, ranges, frontier, values, levels, active, candidates
 
 
 def _concat(parts):
@@ -130,30 +125,27 @@ def test_any_destination_cut_reproduces_the_whole_range_kernel(case):
     """Owner computes, in process: every range runs the worker kernel
     over its own slice, and the rank-order concatenation equals the
     whole-range kernel's sorted winners and their new values bit for
-    bit — min-relax and claim, push (masked too) and pull."""
-    g, ranges, frontier, values, levels, active, mask, candidates = case
+    bit — min-relax and claim, push and pull."""
+    g, ranges, frontier, values, levels, active, candidates = case
     n, csr, csc = g.n_vertices, g.csr(), g.csc()
     cand = np.arange(n, dtype=VERTEX_DTYPE) if candidates is None else candidates
     pushed = [destination_slice(csr, lo, hi) for lo, hi in ranges]
     pulled = [column_slice(csc, lo, hi) for lo, hi in ranges]
     mirrors = [values.copy(), levels.copy(), active.copy()]
 
-    for edge_mask in (None, mask):
-        want = values.copy()
-        winners = fused.relax_push(
-            csr.row_offsets, csr.column_indices, csr.values, want, frontier,
-            mask=edge_mask,
+    want = values.copy()
+    winners = fused.relax_push(
+        csr.row_offsets, csr.column_indices, csr.values, want, frontier
+    )
+    got = _concat([
+        min_relax_range(
+            "push", s["offsets"], s["targets"], values, lo, hi,
+            weights=s["weights"], vertices=frontier,
         )
-        got = _concat([
-            min_relax_range(
-                "push", s["offsets"], s["targets"], values, lo, hi,
-                weights=s["weights"], vertices=frontier, edge_mask=edge_mask,
-                edge_ids=s["edge_ids"],
-            )
-            for (lo, hi), s in zip(ranges, pushed)
-        ])
-        assert np.array_equal(got[0], winners)
-        assert np.array_equal(got[1], want[winners])
+        for (lo, hi), s in zip(ranges, pushed)
+    ])
+    assert np.array_equal(got[0], winners)
+    assert np.array_equal(got[1], want[winners])
 
     want = values.copy()
     winners = fused.relax_pull(
@@ -259,9 +251,16 @@ def test_sssp_matches_seq(proc_graph):
     assert np.array_equal(a.distances, b.distances)
 
 
-def test_sssp_delta_stepping_matches_seq(proc_graph):
-    a = sssp_delta_stepping(proc_graph, 0, policy="seq")
-    b = sssp_delta_stepping(proc_graph, 0, policy=PROC2)
+def _narrow_delta(graph):
+    """A quarter of the mean weight (``None`` on an edgeless graph)."""
+    mean = float(graph.csr().values.mean()) if graph.n_edges else 0.0
+    return mean / 4 if mean > 0 else None
+
+
+def test_sssp_narrow_delta_matches_vector(proc_graph):
+    delta = _narrow_delta(proc_graph)
+    a = sssp(proc_graph, 0, delta=delta)
+    b = sssp(proc_graph, 0, policy=PROC2, delta=delta)
     assert np.array_equal(a.distances, b.distances)
 
 
@@ -291,6 +290,7 @@ def traversal_cases(draw):
 @settings(max_examples=15, deadline=None)
 def test_traversals_bit_identical_to_par_vector(case):
     g, source = case
+    delta = _narrow_delta(g)
     for workers in (1, 2, 3):
         proc = par_proc.with_workers(workers)
         for direction in ("push", "pull", "auto"):
@@ -307,8 +307,8 @@ def test_traversals_bit_identical_to_par_vector(case):
             connected_components(g).labels,
         )
         assert np.array_equal(
-            sssp_delta_stepping(g, source, policy=proc).distances,
-            sssp_delta_stepping(g, source).distances,
+            sssp(g, source, policy=proc, delta=delta).distances,
+            sssp(g, source, delta=delta).distances,
         )
 
 

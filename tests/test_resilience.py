@@ -8,6 +8,7 @@ inject-before-mutate means a retried operation replays exactly.  The
 ``chaos`` marker lets CI sweep extra seeds via ``REPRO_CHAOS_SEED``.
 """
 
+import math
 import os
 import threading
 import time
@@ -31,7 +32,6 @@ from repro.frontier.sparse import SparseFrontier
 from repro.graph.generators import grid_2d, rmat, with_random_weights
 from repro.graph.io import read_edgelist
 from repro.loop.enactor import Enactor
-from repro.loop.priority_enactor import PriorityEnactor, sssp_bucketed
 from repro.resilience import (
     Checkpoint,
     CheckpointStore,
@@ -240,11 +240,14 @@ class TestChaosEquivalence:
         out = connected_components(weighted_rmat, resilience=pol)
         assert np.array_equal(base, out.labels)
 
-    def test_priority_enactor_identical_under_chaos(self, weighted_grid):
-        base = sssp(weighted_grid, 0).distances
+    def test_near_far_identical_under_chaos(self, weighted_grid):
+        # Retried supersteps re-split from the same far pile and
+        # threshold, so the schedule (and every bit) replays.
+        base = sssp(weighted_grid, 0, delta=math.inf).distances
         pol = _chaos_policy(CHAOS_SEED)
-        out = sssp_bucketed(weighted_grid, 0, resilience=pol)
-        assert np.allclose(base, out.distances)
+        out = sssp(weighted_grid, 0, resilience=pol)
+        assert np.array_equal(base, out.distances)
+        assert pol.chaos.decisions["task"] > 0
 
     def test_async_identical_under_task_chaos(self, weighted_rmat):
         base = sssp(weighted_rmat, 0).distances
@@ -426,56 +429,6 @@ class TestCheckpointResume:
             Enactor(weighted_grid).resume_from_checkpoint(
                 step, resilience=pol, state_arrays={"dist": dist}
             )
-
-    def test_priority_enactor_kill_then_resume(self, weighted_grid):
-        base = sssp(weighted_grid, 0).distances
-        from repro.execution.atomics import bulk_min_relax
-        from repro.frontier.bucketed import BucketedFrontier
-        from repro.types import INF, VALUE_DTYPE
-
-        csr = weighted_grid.csr()
-        n = weighted_grid.n_vertices
-        delta = float(csr.values.mean())
-        dist = np.full(n, INF, dtype=VALUE_DTYPE)
-        dist[0] = 0.0
-
-        def step(ids, bucket_index):
-            srcs, dsts, _, weights = csr.expand_vertices(ids)
-            if srcs.size == 0:
-                return np.empty(0, dtype=np.int64), np.empty(0)
-            improved = bulk_min_relax(dist, dsts, dist[srcs] + weights)
-            winners = dsts[improved]
-            return winners.astype(np.int64), dist[winners].astype(np.float64)
-
-        class Bomb(RuntimeError):
-            pass
-
-        calls = [0]
-
-        def bomb_step(ids, bucket_index):
-            calls[0] += 1
-            if calls[0] == 8:
-                raise Bomb("killed mid-bucket")
-            return step(ids, bucket_index)
-
-        frontier = BucketedFrontier(n, delta)
-        frontier.add_with_priority(0, 0.0)
-        pol = ResiliencePolicy(checkpoint_every=1)
-        enactor = PriorityEnactor(weighted_grid)
-        with pytest.raises(Bomb):
-            enactor.run(
-                frontier,
-                bomb_step,
-                resilience=pol,
-                state_arrays={"dist": dist},
-            )
-        assert len(pol.store) > 0
-        dist[:] = -1.0
-        stats = enactor.resume_from_checkpoint(
-            step, resilience=pol, state_arrays={"dist": dist}
-        )
-        assert stats.converged
-        assert np.allclose(base, dist)
 
     def test_store_keep_last_bounds_memory(self):
         store = CheckpointStore(keep_last=2)

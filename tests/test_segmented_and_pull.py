@@ -1,4 +1,4 @@
-"""Tests for segmented neighborhood reduce, pull SSSP, and LPA
+"""Tests for segmented neighborhood reduce, pull-direction SSSP, and LPA
 community detection."""
 
 import numpy as np
@@ -8,15 +8,12 @@ from repro.algorithms import (
     label_propagation_communities,
     modularity,
     sssp,
-    sssp_pull,
 )
 from repro.baselines import dijkstra
-from repro.errors import ConvergenceError
 from repro.graph import from_edge_list
 from repro.graph.generators import chain, complete, grid_2d, rmat, watts_strogatz
 from repro.operators import segmented_neighbor_reduce
 from repro.execution import par, par_vector, seq
-from repro.types import INF
 
 
 class TestSegmentedReduce:
@@ -83,6 +80,8 @@ class TestSegmentedReduce:
 
 
 class TestPullSSSP:
+    """``sssp(direction="pull")``: candidates gather over the CSC."""
+
     @pytest.mark.parametrize(
         "make_graph",
         [
@@ -93,7 +92,7 @@ class TestPullSSSP:
     )
     def test_matches_dijkstra(self, make_graph):
         g = make_graph()
-        r = sssp_pull(g, 0)
+        r = sssp(g, 0, direction="pull")
         ref = dijkstra(g, 0)
         finite = ref < 1e37
         assert np.allclose(r.distances[finite], ref[finite], atol=1e-2)
@@ -101,24 +100,13 @@ class TestPullSSSP:
 
     def test_matches_push(self, weighted_grid):
         push = sssp(weighted_grid, 0).distances
-        pull = sssp_pull(weighted_grid, 0).distances
-        finite = push < INF
-        assert np.allclose(push[finite], pull[finite], atol=1e-2)
+        pull = sssp(weighted_grid, 0, direction="pull").distances
+        assert np.array_equal(push, pull)
 
     def test_rounds_bounded_by_diameter_plus_one(self):
         g = chain(20, directed=True, weighted=True)
-        r = sssp_pull(g, 0)
+        r = sssp(g, 0, direction="pull")
         assert r.stats.num_iterations <= 21
-
-    def test_touches_all_edges_every_round(self, weighted_grid):
-        r = sssp_pull(weighted_grid, 0)
-        assert all(
-            s.edges_touched == weighted_grid.n_edges for s in r.stats.iterations
-        )
-
-    def test_iteration_guard(self, weighted_grid):
-        with pytest.raises(ConvergenceError):
-            sssp_pull(weighted_grid, 0, max_iterations=2)
 
 
 class TestLabelPropagation:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.algorithms.sssp import sssp, sssp_async, sssp_delta_stepping
+from repro.algorithms.sssp import sssp, sssp_async
 from repro.baselines import bellman_ford, dijkstra, nx_shortest_paths
 from repro.errors import FrontierError
 from repro.graph import from_edge_list
@@ -90,6 +90,8 @@ class TestAsyncSSSP:
 
 
 class TestDeltaStepping:
+    """``sssp(delta=…)``: near-far is delta-stepping with two buckets."""
+
     @pytest.mark.parametrize(
         "make_graph",
         [
@@ -100,24 +102,20 @@ class TestDeltaStepping:
     )
     def test_matches_dijkstra(self, make_graph):
         g = make_graph()
-        r = sssp_delta_stepping(g, 0)
+        r = sssp(g, 0, delta=float(g.csr().values.mean()) / 4)
         assert_distances_match(r.distances, dijkstra(g, 0))
 
     @pytest.mark.parametrize("delta", [0.5, 2.0, 100.0])
     def test_any_delta_is_correct(self, weighted_grid, delta):
-        """delta trades bucket count for work but never correctness.
+        """delta trades supersteps for work but never correctness.
         Huge delta degenerates to Bellman-Ford, tiny to Dijkstra."""
-        r = sssp_delta_stepping(weighted_grid, 0, delta=delta)
+        r = sssp(weighted_grid, 0, delta=delta)
         assert_distances_match(r.distances, dijkstra(weighted_grid, 0))
 
     def test_bucket_count_decreases_with_delta(self, weighted_grid):
-        small = sssp_delta_stepping(weighted_grid, 0, delta=1.0)
-        large = sssp_delta_stepping(weighted_grid, 0, delta=50.0)
+        small = sssp(weighted_grid, 0, delta=1.0)
+        large = sssp(weighted_grid, 0, delta=50.0)
         assert large.stats.num_iterations <= small.stats.num_iterations
-
-    def test_invalid_delta_rejected(self, weighted_grid):
-        with pytest.raises(ValueError):
-            sssp_delta_stepping(weighted_grid, 0, delta=0.0)
 
 
 class TestEdgeCases:
