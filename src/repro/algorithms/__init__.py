@@ -11,7 +11,7 @@ module                      algorithm(s)
 :mod:`~repro.algorithms.sssp`      SSSP (Listing 4 + near-far), async SSSP
 :mod:`~repro.algorithms.bfs`       push / pull / direction-optimized BFS
 :mod:`~repro.algorithms.pagerank`  PageRank (BSP)
-:mod:`~repro.algorithms.cc`        connected components (label prop + pointer jumping)
+:mod:`~repro.algorithms.cc`        connected components (hook + shortcut, label propagation)
 :mod:`~repro.algorithms.bc`        betweenness centrality (Brandes)
 :mod:`~repro.algorithms.tc`        triangle counting (segmented intersection)
 :mod:`~repro.algorithms.kcore`     k-core decomposition (iterative peeling)

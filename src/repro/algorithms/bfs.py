@@ -53,10 +53,6 @@ class BFSResult:
         return self.levels >= 0
 
 
-def _validate_parents(levels, parents):  # pragma: no cover - debug helper
-    return np.all((levels <= 0) | (parents != INVALID_VERTEX))
-
-
 def bfs(
     graph: Graph,
     source: int,

@@ -15,6 +15,7 @@ from typing import Union
 
 import numpy as np
 
+from repro.algorithms.cc import merge_components
 from repro.errors import GraphFormatError
 from repro.graph.graph import Graph
 from repro.execution.policy import ExecutionPolicy, par_vector, resolve_policy
@@ -100,18 +101,8 @@ def boruvka_mst(
         picked_v.append(v[keep])
         picked_w.append(weights[winners][keep])
 
-        # Merge: hook the larger label onto the smaller along each winner,
-        # then pointer-jump to full compression.
-        lu = labels[rows[winners]]
-        lv = labels[cols[winners]]
-        lo = np.minimum(lu, lv)
-        hi = np.maximum(lu, lv)
-        np.minimum.at(labels, hi, lo)
-        while True:
-            jumped = labels[labels]
-            if np.array_equal(jumped, labels):
-                break
-            labels[:] = jumped
+        # Merge along every winner: hook and pointer-jump to stars.
+        merge_components(labels, rows[winners], cols[winners])
         stats.record(
             IterationStats(
                 iteration=iteration,

@@ -28,8 +28,8 @@ The repair recipes:
   undirected BFS from the root of every component that lost an edge
   (one traversal of the affected components, however many deletions
   the batch carries); unreached members are genuine split-offs and are
-  relabelled in place.  Insertions merge at the label level (a tiny
-  union-find over component labels).
+  relabelled in place.  Insertions merge at the label level (the CC
+  hook loop, grafting whole components along the inserted edges).
 * **PageRank / PPR** — warm restart: power iteration from the previous
   rank vector converges to the same fixed point (it is a contraction),
   typically in a small fraction of the cold-start iterations after a
@@ -46,7 +46,7 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.algorithms.bfs import BFSResult, UNREACHED
-from repro.algorithms.cc import CCResult
+from repro.algorithms.cc import CCResult, merge_components
 from repro.algorithms.pagerank import PageRankResult, pagerank
 from repro.algorithms.ppr import PPRResult, personalized_pagerank
 from repro.algorithms.sssp import SSSPResult
@@ -617,8 +617,8 @@ def _deletion_arcs(merged: Graph, batch: MutationBatch):
     after the deletions": traversing an inserted edge would let one
     component's BFS wander into another and mark a genuinely split-off
     piece as reached, silently re-gluing it to a component it no longer
-    belongs to when the insert union-find later merges labels.  Every
-    insert-induced reconnection instead goes through that union-find.
+    belongs to when the insert merge later joins labels.  Every
+    insert-induced reconnection instead goes through that merge.
 
     ``keep`` is a per-arc mask, False exactly on inserted arcs (None
     when the batch inserts nothing).  Only the CSR rows of inserted
@@ -689,27 +689,18 @@ def _relabel_split(sides, labels: np.ndarray, cut: np.ndarray) -> int:
     the cut's own deletion-structure edges settles the new labels in
     :math:`O(\\log)` rounds.  Inserted edges that tie a cut piece to
     anything — another piece, its old component, a different component
-    — are deliberately left to the caller's label-level union-find.
+    — are deliberately left to the caller's label-level merge.
     """
     cut_ids = np.nonzero(cut)[0]
     if cut_ids.size == 0:
         return 0
     labels[cut_ids] = cut_ids.astype(labels.dtype)
-    pairs = [
-        _gather_arcs(offsets, ends, cut_ids, keep)
-        for offsets, ends, keep in sides
-    ]
-    dsts = np.concatenate([d for d, _ in pairs])
-    srcs = np.concatenate([s for _, s in pairs])
-    keep = cut[dsts]
-    srcs, dsts = srcs[keep], dsts[keep]
-    if srcs.size:
-        while True:
-            before = labels[cut_ids].copy()
-            np.minimum.at(labels, dsts, labels[srcs])
-            labels[cut_ids] = labels[labels[cut_ids].astype(np.int64)]
-            if np.array_equal(labels[cut_ids], before):
-                break
+    # Both ends of a kept arc are cut, so the hook (symmetric) needs
+    # only the out-arcs: every such edge is in its source's CSR row.
+    offsets, ends, keep = sides[0]
+    dsts, srcs = _gather_arcs(offsets, ends, cut_ids, keep)
+    inside = cut[dsts]
+    merge_components(labels, srcs[inside], dsts[inside])
     return int(cut_ids.size)
 
 
@@ -732,8 +723,8 @@ def incremental_cc(
     relabelled by a hook-and-shortcut min-label pass restricted to
     their own edges.  The certificate costs one traversal of the
     affected components — independent of how many deletions the batch
-    carries.  Insertions then merge at the *label* level — a tiny
-    union-find over component labels, no propagation — which also
+    carries.  Insertions then merge at the *label* level — the hook
+    loop over component roots, no propagation — which also
     stitches split-offs (and their old components) back together when
     an inserted edge bridges them.
     """
@@ -761,47 +752,18 @@ def incremental_cc(
                 n_roots = int(roots.size)
                 sides = _deletion_arcs(merged, batch)
                 seen = _certified_reach(sides, n, roots)
-                pos = np.searchsorted(roots, labels)
-                clip = np.minimum(pos, roots.size - 1)
-                members = roots[clip] == labels
-                cut = members & ~seen
+                cut = np.isin(labels, roots) & ~seen
                 n_relabelled = _relabel_split(sides, labels, cut)
         if batch.n_inserted:
-            # Merge at the label level: a min-label hook-and-shortcut
-            # loop over the label graph the inserted edges induce, then
-            # one remap pass over the vertex labels.  Labels are
-            # component-minimum vertex ids, so the smaller label wins
-            # and stays the merged component's minimum.
-            la = labels[batch.inserted_src.astype(np.int64)]
-            lb = labels[batch.inserted_dst.astype(np.int64)]
-            diff = la != lb
-            if np.any(diff):
-                hooks = np.concatenate([la[diff], lb[diff]])
-                peers = np.concatenate([lb[diff], la[diff]])
-                involved = np.unique(hooks)
-                hi = np.searchsorted(involved, hooks)
-                pi = np.searchsorted(involved, peers)
-                root = involved.copy()
-                while True:
-                    before = root.copy()
-                    np.minimum.at(root, hi, root[pi])
-                    root = root[np.searchsorted(involved, root)]
-                    if np.array_equal(root, before):
-                        break
-                pos = np.searchsorted(involved, labels)
-                clip = np.minimum(pos, involved.size - 1)
-                hit = involved[clip] == labels
-                labels[hit] = root[clip[hit]]
+            # Merge at the label level: component-minimum labels are
+            # already stars rooted at their minima, so the hook loop
+            # grafts whole components along the inserted edges.
+            merge_components(labels, batch.inserted_src, batch.inserted_dst)
         span.set("invalidated", n_relabelled)
         span.set("seeds", n_roots)
         probe.counter("dynamic.invalidated", n_relabelled)
         probe.counter("dynamic.repair_seeds", n_roots)
-    # Labels are component minima, so exactly the roots satisfy
-    # ``labels[v] == v`` — counting them is one vectorized pass.
-    n_components = int(
-        np.count_nonzero(labels == np.arange(n, dtype=labels.dtype))
-    )
-    return CCResult(labels=labels, n_components=n_components, stats=stats)
+    return CCResult.from_labels(labels, stats)
 
 
 def incremental_pagerank(

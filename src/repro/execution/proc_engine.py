@@ -342,11 +342,6 @@ def get_engine() -> ProcEngine:
         return _engine
 
 
-def engine_started() -> bool:
-    """Whether a par_proc engine exists in this process."""
-    return _engine is not None
-
-
 def proc_available() -> bool:
     """Whether par_proc may run rounds here (never inside a worker —
     nesting would fork-bomb; the policy falls back to the in-process

@@ -293,12 +293,7 @@ def linalg_cc(graph: Graph) -> CCResult:
         frontier = improved
         i += 1
     stats.converged = True
-    out = labels.astype(np.int64)
-    return CCResult(
-        labels=out,
-        n_components=int(np.unique(out).shape[0]) if n else 0,
-        stats=stats,
-    )
+    return CCResult.from_labels(labels.astype(np.int64), stats)
 
 
 # -- spgemm ------------------------------------------------------------------

@@ -23,7 +23,7 @@ race checker, pytest fixtures, and ``repro verify --list``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -411,9 +411,14 @@ register(
 def _run_cc(graph, variant, ctx):
     return algorithms.connected_components(
         graph,
+        method="label_propagation",
         policy=variant.policy or "par_vector",
         backend=variant.backend or "native",
     ).labels
+
+
+def _run_cc_hooking(graph, variant, ctx):
+    return algorithms.connected_components(graph, method="hooking").labels
 
 
 def _baseline_cc(graph, ctx):
@@ -439,6 +444,19 @@ register(
             "the final partition (min-label fixed point)"
         ),
         description="connected components by label propagation",
+    )
+)
+
+
+# Same contract as ``cc``; hooking runs only under the vector executor.
+register(
+    replace(
+        REGISTRY["cc"],
+        name="cc_hooking",
+        run=_run_cc_hooking,
+        axes=Axes(policies=("par_vector",)),
+        benign_races=None,
+        description="connected components by pruned hook + shortcut",
     )
 )
 

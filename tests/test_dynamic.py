@@ -32,6 +32,7 @@ from repro.graph import from_edge_list
 from repro.graph.adjacency import AdjacencyList
 from repro.graph.validate import validate_graph, validate_overlay
 from repro.service import GraphCatalog, QueryService, ServiceConfig
+from repro.service.queries import execute_query
 from repro.types import INF
 
 SUPPRESS = [HealthCheck.too_slow]
@@ -645,8 +646,10 @@ class TestServiceMutateCache:
         hit = service.handle(req)
         assert hit["server"]["cached"] is True
 
+        # Cutting vertex 0's two grid arcs isolates it: the mutation
+        # really changes the components, not just how they are found.
         mutated = service.handle(
-            {"op": "mutate", "graph": "g", "insert": [[0, 17, 1.0]]}
+            {"op": "mutate", "graph": "g", "remove": [[0, 1], [0, 16]]}
         )
         assert mutated["code"] == 200
         assert mutated["result"]["epoch"] == 1
@@ -656,7 +659,10 @@ class TestServiceMutateCache:
         after = service.handle(req)
         assert after["code"] == 200
         assert not after["server"].get("cached")
-        assert after["result"] != first["result"]
+        assert first["result"]["n_components"] == 1
+        assert after["result"]["n_components"] == 2
+        fresh = execute_query(service.catalog.get("g"), "cc", {})
+        assert after["result"] == fresh
 
     def test_mutate_unknown_graph_404(self, service):
         resp = service.handle(

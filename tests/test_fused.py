@@ -70,7 +70,9 @@ class TestFusedEqualsUnfused:
         )
 
     def test_cc_labels_identical(self, any_graph):
-        fused = connected_components(any_graph, policy="par_vector")
+        fused = connected_components(
+            any_graph, policy="par_vector", method="label_propagation"
+        )
         plain = connected_components(any_graph, policy="seq")
         assert np.array_equal(fused.labels, plain.labels)
         assert fused.n_components == plain.n_components

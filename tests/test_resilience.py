@@ -239,6 +239,7 @@ class TestChaosEquivalence:
         pol = _chaos_policy(CHAOS_SEED + seed_offset)
         out = connected_components(weighted_rmat, resilience=pol)
         assert np.array_equal(base, out.labels)
+        assert pol.chaos.decisions["task"] > 0
 
     def test_near_far_identical_under_chaos(self, weighted_grid):
         # Retried supersteps re-split from the same far pile and
