@@ -77,21 +77,12 @@ def bfs(
         Optional :class:`~repro.resilience.ResiliencePolicy` — superstep
         retry under chaos plus checkpointing of levels and parents.
     backend:
-        ``"native"`` (frontier enactor), ``"linalg"`` (boolean-semiring
-        matrix products), or ``"auto"``.
+        Validated and recorded; BFS has no matrix driver, so
+        ``"linalg"`` runs native with a ``backend:fallback`` event.
     """
     from repro.execution.backend import resolve_backend
 
-    if resolve_backend(backend, "bfs") == "linalg":
-        from repro.linalg.algorithms import linalg_bfs
-
-        return linalg_bfs(
-            graph,
-            source,
-            direction=direction,
-            pull_threshold=pull_threshold,
-            push_back_threshold=push_back_threshold,
-        )
+    resolve_backend(backend, "bfs")
     policy = resolve_policy(policy)
     if direction not in ("push", "pull", "auto"):
         raise ValueError(

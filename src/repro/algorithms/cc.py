@@ -79,16 +79,13 @@ def connected_components(
     only) or ``"label_propagation"`` (frontier/operator formulation, every
     policy); ``None`` picks hooking under ``par_vector`` and label
     propagation under every other policy.  ``resilience`` adds superstep
-    retry under chaos and label-array checkpointing.
-    ``backend="linalg"`` runs min-label propagation as semiring matrix
-    products instead of the frontier enactor.
+    retry under chaos and label-array checkpointing.  ``backend`` is
+    validated and recorded; CC has no matrix driver, so ``"linalg"``
+    runs native with a ``backend:fallback`` event.
     """
     from repro.execution.backend import resolve_backend
 
-    if resolve_backend(backend, "cc") == "linalg":
-        from repro.linalg.algorithms import linalg_cc
-
-        return linalg_cc(graph)
+    resolve_backend(backend, "cc")
     policy = resolve_policy(policy)
     vector = policy.name == par_vector.name
     if method is None:

@@ -11,6 +11,10 @@ row-block at a time: expand each of A's rows into its B-row
 contributions with one bulk gather, then collapse duplicates with a
 sorted segmented reduction.  Memory stays bounded by the block's
 intermediate product size.
+
+``backend="linalg"`` hands the product to scipy's C SpGEMM instead — a
+second, independent implementation that the conformance matrix checks
+this one against.  Without scipy it resolves to the native kernel.
 """
 
 from __future__ import annotations
@@ -24,8 +28,9 @@ from repro.graph.coo import COOMatrix
 from repro.graph.csr import CSRMatrix
 from repro.graph.graph import Graph
 from repro.execution.policy import ExecutionPolicy, par_vector, resolve_policy
-from repro.types import EDGE_DTYPE, VERTEX_DTYPE, WEIGHT_DTYPE
+from repro.types import VERTEX_DTYPE, WEIGHT_DTYPE
 from repro.operators.fused import segmented_sum
+from repro.operators.sum_aggregate import graph_aggregate
 
 
 def spgemm(
@@ -45,19 +50,36 @@ def spgemm(
     """
     from repro.execution.backend import resolve_backend
 
-    if resolve_backend(backend, "spgemm") == "linalg":
-        from repro.linalg.algorithms import linalg_spgemm
-
-        return linalg_spgemm(a, b)
     resolve_policy(policy)
     if a.n_vertices != b.n_vertices:
         raise GraphFormatError(
             f"operand vertex counts differ: {a.n_vertices} vs {b.n_vertices}"
         )
     n = a.n_vertices
-    a_csr = a.csr()
-    b_csr = b.csr()
+    sp_a = (
+        graph_aggregate(a).matrix()
+        if resolve_backend(backend, "spgemm") == "linalg"
+        else None
+    )
+    if sp_a is not None:
+        c = (sp_a @ graph_aggregate(b).matrix()).tocoo()
+        # A cancellation can leave stored zeros; drop them structurally.
+        keep = c.data != 0
+        rows = c.row[keep].astype(VERTEX_DTYPE)
+        cols = c.col[keep].astype(VERTEX_DTYPE)
+        vals = c.data[keep].astype(WEIGHT_DTYPE)
+    else:
+        rows, cols, vals = _gustavson(a.csr(), b.csr(), n, row_block)
+    coo = COOMatrix(n, n, rows, cols, vals)
+    ro, ci, v = coo.to_csr_arrays()
+    return Graph(
+        {"csr": CSRMatrix(n, n, ro, ci, v), "coo": coo},
+        a.properties.with_(weighted=True),
+    )
 
+
+def _gustavson(a_csr: CSRMatrix, b_csr: CSRMatrix, n: int, row_block: int):
+    """The native row-block product as ``(rows, cols, vals)`` COO arrays."""
     out_rows: list = []
     out_cols: list = []
     out_vals: list = []
@@ -88,21 +110,17 @@ def spgemm(
         out_cols.append((uniq % n).astype(VERTEX_DTYPE))
         out_vals.append(summed.astype(WEIGHT_DTYPE))
 
-    if out_rows:
-        rows = np.concatenate(out_rows)
-        cols = np.concatenate(out_cols)
-        vals = np.concatenate(out_vals)
-    else:
-        rows = np.empty(0, dtype=VERTEX_DTYPE)
-        cols = np.empty(0, dtype=VERTEX_DTYPE)
-        vals = np.empty(0, dtype=WEIGHT_DTYPE)
-    coo = COOMatrix(n, n, rows, cols, vals)
-    ro, ci, v = coo.to_csr_arrays()
-    product = Graph(
-        {"csr": CSRMatrix(n, n, ro, ci, v), "coo": coo},
-        a.properties.with_(weighted=True),
+    if not out_rows:
+        return (
+            np.empty(0, dtype=VERTEX_DTYPE),
+            np.empty(0, dtype=VERTEX_DTYPE),
+            np.empty(0, dtype=WEIGHT_DTYPE),
+        )
+    return (
+        np.concatenate(out_rows),
+        np.concatenate(out_cols),
+        np.concatenate(out_vals),
     )
-    return product
 
 
 def count_two_hop_paths(graph: Graph, **kwargs) -> int:

@@ -185,21 +185,17 @@ def sssp(
         Width Δ of the near/far threshold step; ``None`` means the mean
         edge weight (``inf`` when that is zero), ``math.inf`` runs
         Listing 4 verbatim.  Changes the schedule, never the distances.
-        The ``linalg`` backend ignores it.
     resilience:
         Optional :class:`~repro.resilience.ResiliencePolicy` — superstep
         retry under chaos plus checkpointing of the distance array (the
         threshold rides in the checkpoint's loop context).
     backend:
-        ``"native"`` (frontier enactor), ``"linalg"`` ((min, +) matrix
-        products), or ``"auto"``.
+        Validated and recorded; SSSP has no matrix driver, so
+        ``"linalg"`` runs native with a ``backend:fallback`` event.
     """
     from repro.execution.backend import resolve_backend
 
-    if resolve_backend(backend, "sssp") == "linalg":
-        from repro.linalg.algorithms import linalg_sssp
-
-        return linalg_sssp(graph, source, direction=direction)
+    resolve_backend(backend, "sssp")
     policy = resolve_policy(policy)
     n = graph.n_vertices
     source = check_vertex_in_range(source, n)

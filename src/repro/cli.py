@@ -655,8 +655,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     ) or args.fused != "both"
     explicit = bool(args.metamorphic or args.races or args.dynamic)
-    # An explicit --metamorphic composes with --backend (the relations
-    # run per-backend); every other axis filter narrows to the matrix.
+    # Axis filters narrow the run to the matrix; an explicit
+    # --metamorphic runs the relations alone.
     run_m = ((not explicit and not args.no_matrix) or axis_filtered) and not (
         args.metamorphic and not args.races and not args.dynamic
     )
@@ -724,15 +724,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         records["matrix"] = report.to_record()
         failed = failed or not report.ok
     if run_meta:
-        meta_backends = (
-            (args.backend,) if args.backend else ("native", "linalg")
-        )
-        meta = run_metamorphic(
-            seed=args.seed,
-            quick=quick,
-            graphs=args.graph,
-            backends=meta_backends,
-        )
+        meta = run_metamorphic(seed=args.seed, quick=quick, graphs=args.graph)
         print(
             f"metamorphic: {meta.checks_run} checks, "
             f"{len(meta.failures)} failures ({meta.seconds:.1f}s)"
@@ -1441,8 +1433,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=["native", "linalg", "auto"],
         default="native",
-        help="execution backend: frontier enactors (native) or masked "
-        "SpMV/SpMSpV matrix products (linalg)",
+        help="execution backend; bfs/sssp/cc have no matrix driver and "
+        "run native under linalg (recorded as a fallback)",
     )
     p.add_argument("--undirected", action="store_true")
     p.add_argument("--seed", type=int, default=0)
@@ -1516,7 +1508,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=["native", "linalg", "auto"],
         default="native",
-        help="execution backend (sssp/bfs/cc/pagerank support linalg)",
+        help="execution backend; bfs/sssp/cc have no matrix driver and "
+        "run native under linalg (recorded as a fallback)",
     )
     p.add_argument("--undirected", action="store_true")
     p.add_argument("--seed", type=int, default=0)
@@ -1847,8 +1840,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--backend",
         choices=["native", "linalg"],
-        help="restrict the execution-backend axis (matrix slice, or the "
-        "metamorphic relations when combined with --metamorphic)",
+        help="matrix only: restrict the execution-backend axis (linalg: "
+        "scipy's spgemm)",
     )
     p.add_argument(
         "--metamorphic",

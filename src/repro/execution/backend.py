@@ -1,15 +1,16 @@
 """Backend dispatch — native-graph vs. linear-algebra execution.
 
 The paper frames graph frameworks as either *native-graph* (frontiers,
-advance/filter operators — Gunrock's model, everything this repo built
-through PR 9) or *linear-algebra based* (masked matrix products over
-semirings — GraphBLAST's model, :mod:`repro.linalg`).  This module is
-the seam that lets one algorithm entry point serve both: callers pass
-``backend="native" | "linalg" | "auto"`` and the entry point routes to
-the frontier enactor or the semiring drivers.  For the dense (+, ×)
-algorithms (pagerank, ppr, hits, spmv) the two families meet in one
-kernel (:mod:`repro.operators.sum_aggregate`), so the name is recorded
-but selects nothing.
+advance/filter operators — Gunrock's model, everything this repo runs)
+or *linear-algebra based* (masked matrix products over semirings —
+GraphBLAST's model).  Here the two meet in kernels rather than in two
+sets of drivers: the dense (+, ×) algorithms (pagerank, ppr, hits,
+spmv) run the one sum-aggregate kernel
+(:mod:`repro.operators.sum_aggregate`) under either name, so the name is
+recorded but selects nothing, and ``spgemm`` under ``"linalg"`` runs
+scipy's SpGEMM.  The traversals (bfs, sssp, cc) have no matrix driver:
+:mod:`repro.linalg` is the reference algebra their advance is checked
+against (the ``advance_semiring`` oracle), not a second way to run them.
 
 Capability probing mirrors the policy layer's graceful degradation:
 asking for ``linalg`` on an algorithm without a matrix formulation
@@ -27,17 +28,7 @@ BACKENDS = ("native", "linalg", "auto")
 
 #: Algorithms with a linear-algebra formulation.  Everything else is
 #: native-only.
-LINALG_ALGORITHMS = frozenset(
-    {"bfs", "sssp", "cc", "pagerank", "ppr", "hits", "spmv", "spgemm"}
-)
-
-#: Where ``"auto"`` resolves to native although a linalg driver exists:
-#: the frontier traversals, whose sparse frontiers the pure-NumPy SpMSpV
-#: cannot amortize (``benchmarks/suite/baseline/HEAD.json``, rmat-16,
-#: native vs linalg: bfs 12.0 vs 48.7 ms, sssp 17.8 vs 92.5 ms, cc 49.9
-#: vs 315 ms).  The dense (+, ×) algorithms are one code path under
-#: either name, so for them the choice costs nothing.
-AUTO_NATIVE = frozenset({"bfs", "sssp", "cc"})
+LINALG_ALGORITHMS = frozenset({"pagerank", "ppr", "hits", "spmv", "spgemm"})
 
 
 def supports(backend: str, algorithm: str) -> bool:
@@ -52,10 +43,8 @@ def resolve_backend(backend: Optional[str], algorithm: str) -> str:
 
     ``None``/``"native"`` → native.  ``"linalg"`` → linalg when the
     algorithm has a matrix formulation, else native with a
-    ``backend:fallback`` probe event.  ``"auto"`` → the measured
-    winner per algorithm: native for :data:`AUTO_NATIVE` and for
-    anything without a matrix formulation (silently — auto *is* the
-    probe), linalg for the rest.
+    ``backend:fallback`` probe event.  ``"auto"`` → linalg where it has
+    a formulation, native (silently — auto *is* the probe) elsewhere.
     """
     if backend is None or backend == "native":
         return "native"
@@ -63,9 +52,7 @@ def resolve_backend(backend: Optional[str], algorithm: str) -> str:
         raise ValueError(
             f"unknown backend {backend!r}; expected one of {BACKENDS}"
         )
-    if algorithm in LINALG_ALGORITHMS and not (
-        backend == "auto" and algorithm in AUTO_NATIVE
-    ):
+    if algorithm in LINALG_ALGORITHMS:
         return "linalg"
     if backend == "linalg":
         from repro.observability.probe import active_probe

@@ -66,7 +66,7 @@ class Graph:
                     f"{type(view).__name__}"
                 )
         self._views: Dict[str, ViewType] = dict(views)
-        #: Derived-artifact cache (e.g. the linalg backend's scipy
+        #: Derived-artifact cache (e.g. the sum-aggregate's scipy
         #: adjacency): keyed blobs computed from the views, built once.
         self._derived: Dict[str, object] = {}
         self.properties = properties or GraphProperties()
@@ -136,7 +136,7 @@ class Graph:
         """A cached derived artifact, built on first request.
 
         The facade's lazy-view discipline extended to artifacts that are
-        not one of the three sparse formats — e.g. the linalg backend's
+        not one of the three sparse formats — e.g. the sum-aggregate's
         scipy adjacency.  ``builder()`` runs at most once per key; the
         build is traced as a ``graph:derived`` span so conversion cost
         lands in the graph layer, same as view derivation.  Graphs are

@@ -47,8 +47,8 @@ LAYER_OF_PREFIX: Dict[str, str] = {
     "graph": "graph",
     "frontier": "frontier",
     "operator": "operator",
-    # linalg kernels (spmv/spmspv) are the matrix backend's operator
-    # layer — same attribution slot as advance/filter.
+    # linalg kernels (spmv/spmspv and the sum-aggregate) are operators —
+    # same attribution slot as advance/filter.
     "linalg": "operator",
     "superstep": "loop",
     "async": "loop",

@@ -141,8 +141,8 @@ class SumAggregate:
         x = np.asarray(x, dtype=np.float64)
         n_out = self.width if scatter else self.n_segments
         # Same span name from every caller: the analysis engine maps
-        # ``linalg:*`` to the operator layer, so a native PageRank
-        # iteration is attributed exactly like a linalg one.
+        # ``linalg:*`` to the operator layer, so a PageRank iteration
+        # is attributed like every other operator.
         with active_probe().span(
             "linalg:spmv",
             semiring="plus_times",

@@ -91,17 +91,13 @@ class MetamorphicFailure:
     graph: str
     seed: int
     detail: str
-    backend: str = "native"
 
     @property
     def repro(self) -> str:
-        cmd = (
+        return (
             f"repro verify --metamorphic --algo {self.algo} "
             f"--graph {self.graph} --seed {self.seed}"
         )
-        if self.backend != "native":
-            cmd += f" --backend {self.backend}"
-        return cmd
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready form (embedded in ledger records)."""
@@ -110,7 +106,6 @@ class MetamorphicFailure:
             "algo": self.algo,
             "graph": self.graph,
             "seed": self.seed,
-            "backend": self.backend,
             "detail": self.detail,
             "repro": self.repro,
         }
@@ -160,13 +155,12 @@ def check_weight_scaling(
     source: int,
     seed: int,
     factor: float = 3.5,
-    backend: str = "native",
 ) -> Optional[MetamorphicFailure]:
     """``sssp(c·G) == c · sssp(G)`` for any ``c > 0``."""
-    base = sssp(graph, source, backend=backend).distances.astype(np.float64)
-    scaled = sssp(
-        scale_weights(graph, factor), source, backend=backend
-    ).distances.astype(np.float64)
+    base = sssp(graph, source).distances.astype(np.float64)
+    scaled = sssp(scale_weights(graph, factor), source).distances.astype(
+        np.float64
+    )
     want = np.where(base >= INF, np.float64(INF), base * factor)
     got = np.where(scaled >= INF, np.float64(INF), scaled)
     outcome = float_allclose(got, want, atol=1e-3, rtol=1e-4)
@@ -178,7 +172,6 @@ def check_weight_scaling(
         graph=name,
         seed=seed,
         detail=f"sssp({factor}*G) != {factor}*sssp(G): {outcome.detail}",
-        backend=backend,
     )
 
 
@@ -189,14 +182,13 @@ def check_isolated_vertices(
     source: int,
     seed: int,
     k: int = 3,
-    backend: str = "native",
 ) -> Optional[MetamorphicFailure]:
     """Appending edge-less vertices is a no-op on the original answers."""
     n = graph.n_vertices
     grown = add_isolated_vertices(graph, k)
 
-    base_d = sssp(graph, source, backend=backend).distances
-    grown_d = sssp(grown, source, backend=backend).distances
+    base_d = sssp(graph, source).distances
+    grown_d = sssp(grown, source).distances
     if not np.array_equal(base_d, grown_d[:n]):
         return MetamorphicFailure(
             relation="isolated-vertices",
@@ -204,7 +196,6 @@ def check_isolated_vertices(
             graph=name,
             seed=seed,
             detail="sssp distances on original vertices changed",
-            backend=backend,
         )
     if not bool(np.all(grown_d[n:] >= INF)):
         return MetamorphicFailure(
@@ -213,11 +204,10 @@ def check_isolated_vertices(
             graph=name,
             seed=seed,
             detail="appended isolated vertices came out reachable",
-            backend=backend,
         )
 
-    base_l = bfs(graph, source, backend=backend).levels
-    grown_l = bfs(grown, source, backend=backend).levels
+    base_l = bfs(graph, source).levels
+    grown_l = bfs(grown, source).levels
     if not np.array_equal(base_l, grown_l[:n]):
         return MetamorphicFailure(
             relation="isolated-vertices",
@@ -225,11 +215,10 @@ def check_isolated_vertices(
             graph=name,
             seed=seed,
             detail="bfs levels on original vertices changed",
-            backend=backend,
         )
 
-    base_c = connected_components(graph, backend=backend).labels
-    grown_c = connected_components(grown, backend=backend).labels
+    base_c = connected_components(graph).labels
+    grown_c = connected_components(grown).labels
     outcome = partition_isomorphic(base_c, grown_c[:n])
     if not outcome.ok:
         return MetamorphicFailure(
@@ -238,7 +227,6 @@ def check_isolated_vertices(
             graph=name,
             seed=seed,
             detail=f"component partition changed: {outcome.detail}",
-            backend=backend,
         )
     tail = grown_c[n:]
     if len(set(tail.tolist())) != k or bool(
@@ -250,13 +238,12 @@ def check_isolated_vertices(
             graph=name,
             seed=seed,
             detail="appended isolated vertices are not singleton components",
-            backend=backend,
         )
     return None
 
 
 def check_permutation(
-    graph: Graph, name: str, *, source: int, seed: int, backend: str = "native"
+    graph: Graph, name: str, *, source: int, seed: int
 ) -> Optional[MetamorphicFailure]:
     """Relabeling vertices permutes the answer (equivariance)."""
     n = graph.n_vertices
@@ -266,8 +253,8 @@ def check_permutation(
     perm = rng.permutation(n)
     permuted = permute_vertices(graph, perm)
 
-    base_d = sssp(graph, source, backend=backend).distances
-    perm_d = sssp(permuted, int(perm[source]), backend=backend).distances
+    base_d = sssp(graph, source).distances
+    perm_d = sssp(permuted, int(perm[source])).distances
     # dist'(perm[v]) must equal dist(v).
     if not np.allclose(perm_d[perm], base_d, atol=1e-4, rtol=1e-4):
         bad = int(np.argmax(~np.isclose(perm_d[perm], base_d, atol=1e-4)))
@@ -281,11 +268,10 @@ def check_permutation(
                 f"dist {base_d[bad]:g} but its image {int(perm[bad])} "
                 f"got {perm_d[perm[bad]]:g}"
             ),
-            backend=backend,
         )
 
-    base_l = bfs(graph, source, backend=backend).levels
-    perm_l = bfs(permuted, int(perm[source]), backend=backend).levels
+    base_l = bfs(graph, source).levels
+    perm_l = bfs(permuted, int(perm[source])).levels
     if not np.array_equal(perm_l[perm], base_l):
         return MetamorphicFailure(
             relation="permutation",
@@ -293,11 +279,10 @@ def check_permutation(
             graph=name,
             seed=seed,
             detail="bfs levels not relabel-equivariant",
-            backend=backend,
         )
 
-    base_c = connected_components(graph, backend=backend).labels
-    perm_c = connected_components(permuted, backend=backend).labels
+    base_c = connected_components(graph).labels
+    perm_c = connected_components(permuted).labels
     outcome = partition_isomorphic(perm_c[perm], base_c)
     if not outcome.ok:
         return MetamorphicFailure(
@@ -306,7 +291,6 @@ def check_permutation(
             graph=name,
             seed=seed,
             detail=f"cc partition not relabel-equivariant: {outcome.detail}",
-            backend=backend,
         )
     return None
 
@@ -325,14 +309,9 @@ def run_metamorphic(
     quick: bool = True,
     graphs: Optional[Sequence[str]] = None,
     relations: Optional[Sequence[str]] = None,
-    backends: Sequence[str] = ("native", "linalg"),
     pool: Optional[GraphPool] = None,
 ) -> MetamorphicReport:
-    """Sweep every relation over the adversarial graph pool.
-
-    Each relation runs once per entry of ``backends`` — the mathematics
-    must hold on the frontier path and on the matrix-product path alike
-    (satellite axis of the backend conformance claim)."""
+    """Sweep every relation over the adversarial graph pool."""
     t0 = time.perf_counter()
     pool = pool or GraphPool(seed=seed, quick=quick)
     report = MetamorphicReport(seed=seed)
@@ -353,16 +332,10 @@ def run_metamorphic(
         for rel in names:
             if rel == "weight-scaling" and not graph.properties.weighted:
                 continue
-            checker = RELATIONS[rel]
-            for backend in backends:
-                report.record(
-                    checker(
-                        graph,
-                        case.name,
-                        source=case.source or 0,
-                        seed=seed,
-                        backend=backend,
-                    )
+            report.record(
+                RELATIONS[rel](
+                    graph, case.name, source=case.source or 0, seed=seed
                 )
+            )
     report.seconds = time.perf_counter() - t0
     return report

@@ -42,8 +42,12 @@ from repro.baselines.networkx_ref import nx_betweenness, nx_triangles
 from repro.baselines.seq_bfs import sequential_bfs
 from repro.baselines.seq_cc import union_find_components
 from repro.baselines.seq_pagerank import sequential_pagerank
+from repro.frontier.sparse import SparseFrontier
 from repro.graph.graph import Graph
-from repro.types import INF
+from repro.linalg import MIN_PLUS, OR_AND, spmspv
+from repro.operators.advance import neighbors_expand
+from repro.operators.fused import claim_levels_condition, min_relax_condition
+from repro.types import INF, INVALID_VERTEX, VERTEX_DTYPE
 from repro.verify.comparators import (
     CompareOutcome,
     OK,
@@ -73,7 +77,8 @@ class Variant:
     representation: Optional[str] = None
     fused: Optional[bool] = None
     #: ``None`` = native-graph execution (the default path); ``"linalg"``
-    #: = masked SpMV/SpMSpV matrix products (:mod:`repro.linalg`).
+    #: = the algorithm's second implementation under that name (scipy's
+    #: SpGEMM).
     backend: Optional[str] = None
 
     def label(self) -> str:
@@ -251,8 +256,6 @@ def _sssp_kwargs(variant: Variant) -> dict:
         kwargs["direction"] = variant.direction
     if variant.representation is not None:
         kwargs["output_representation"] = variant.representation
-    if variant.backend is not None:
-        kwargs["backend"] = variant.backend
     return kwargs
 
 
@@ -299,7 +302,6 @@ register(
             directions=("push", "pull", "auto"),
             representations=("sparse", "dense", "auto"),
             fused=(True, False),
-            backends=(None, "linalg"),
         ),
         baseline_name="dijkstra",
         comparator_name="float-atol",
@@ -364,8 +366,6 @@ def _run_bfs(graph, variant, ctx):
         kwargs["policy"] = variant.policy
     if variant.direction is not None:
         kwargs["direction"] = variant.direction
-    if variant.backend is not None:
-        kwargs["backend"] = variant.backend
     res = algorithms.bfs(graph, ctx.source, **kwargs)
     return {"levels": res.levels, "parents": res.parents}
 
@@ -391,7 +391,6 @@ register(
             policies=STANDARD_POLICIES,
             directions=("push", "pull", "auto"),
             fused=(True, False),
-            backends=(None, "linalg"),
         ),
         baseline_name="seq_bfs",
         comparator_name="exact+parents-tie-tolerant",
@@ -413,7 +412,6 @@ def _run_cc(graph, variant, ctx):
         graph,
         method="label_propagation",
         policy=variant.policy or "par_vector",
-        backend=variant.backend or "native",
     ).labels
 
 
@@ -431,11 +429,7 @@ register(
         run=_run_cc,
         baseline=_baseline_cc,
         compare=_cmp_partition,
-        axes=Axes(
-            policies=STANDARD_POLICIES,
-            fused=(True, False),
-            backends=(None, "linalg"),
-        ),
+        axes=Axes(policies=STANDARD_POLICIES, fused=(True, False)),
         baseline_name="seq_cc",
         comparator_name="partition-isomorphism",
         requires=("has_vertices",),
@@ -488,11 +482,7 @@ register(
 
 
 def _run_pagerank(graph, variant, ctx):
-    return algorithms.pagerank(
-        graph,
-        policy=variant.policy or "par_vector",
-        backend=variant.backend or "native",
-    ).ranks
+    return algorithms.pagerank(graph, policy=variant.policy or "par_vector").ranks
 
 
 def _baseline_pagerank(graph, ctx):
@@ -505,9 +495,7 @@ register(
         run=_run_pagerank,
         baseline=_baseline_pagerank,
         compare=_cmp_ranks,
-        axes=Axes(
-            policies=STANDARD_POLICIES, backends=(None, "linalg")
-        ),
+        axes=Axes(policies=STANDARD_POLICIES),
         baseline_name="seq_pagerank",
         comparator_name="float-atol",
         requires=("has_vertices",),
@@ -517,11 +505,7 @@ register(
 
 
 def _run_hits(graph, variant, ctx):
-    res = algorithms.hits(
-        graph,
-        policy=variant.policy or "par_vector",
-        backend=variant.backend or "native",
-    )
+    res = algorithms.hits(graph, policy=variant.policy or "par_vector")
     return np.concatenate([res.hubs, res.authorities])
 
 
@@ -536,9 +520,7 @@ register(
         run=_run_hits,
         baseline=_baseline_hits,
         compare=_cmp_ranks,
-        axes=Axes(
-            policies=STANDARD_POLICIES, backends=(None, "linalg")
-        ),
+        axes=Axes(policies=STANDARD_POLICIES),
         baseline_name="seq_self",
         comparator_name="float-atol",
         requires=("has_vertices",),
@@ -549,10 +531,7 @@ register(
 
 def _run_ppr(graph, variant, ctx):
     return algorithms.personalized_pagerank(
-        graph,
-        ctx.source,
-        policy=variant.policy or "par_vector",
-        backend=variant.backend or "native",
+        graph, ctx.source, policy=variant.policy or "par_vector"
     ).ranks
 
 
@@ -566,9 +545,7 @@ register(
         run=_run_ppr,
         baseline=_baseline_ppr,
         compare=_cmp_ranks,
-        axes=Axes(
-            policies=STANDARD_POLICIES, backends=(None, "linalg")
-        ),
+        axes=Axes(policies=STANDARD_POLICIES),
         baseline_name="seq_self",
         comparator_name="float-atol",
         requires=("has_vertices",),
@@ -856,10 +833,7 @@ def _spmv_x(graph, ctx):
 
 def _run_spmv(graph, variant, ctx):
     return algorithms.spmv(
-        graph,
-        _spmv_x(graph, ctx),
-        policy=variant.policy or "par_vector",
-        backend=variant.backend or "native",
+        graph, _spmv_x(graph, ctx), policy=variant.policy or "par_vector"
     )
 
 
@@ -877,9 +851,7 @@ register(
         run=_run_spmv,
         baseline=_baseline_spmv,
         compare=_cmp_spmv,
-        axes=Axes(
-            policies=STANDARD_POLICIES, backends=(None, "linalg")
-        ),
+        axes=Axes(policies=STANDARD_POLICIES),
         baseline_name="brute_coo",
         comparator_name="float-atol",
         requires=("has_vertices",),
@@ -950,6 +922,98 @@ register(
         comparator_name="pattern-exact+float-atol",
         requires=("has_vertices",),
         description="SpGEMM (A·A) vs a dense matmul baseline",
+    )
+)
+
+
+# -- the graph/matrix duality (§IV-A) ----------------------------------------
+
+#: BFS level of the seeded frontier; settled vertices sit below it.
+_FRONTIER_LEVEL = 2
+
+
+def _advance_state(graph, ctx):
+    """A seeded mid-traversal state: ``(frontier, dist, levels)``.
+
+    Every frontier vertex holds distance 1.0 and level
+    ``_FRONTIER_LEVEL``; about a third of the rest are settled, with
+    random distances in [0, 4) and lower levels.  Frontier values are
+    equal so that, with nonnegative weights, no frontier vertex improves
+    within the superstep — the result then cannot depend on the order a
+    policy applies the edges in, and one SpMSpV describes it exactly.
+    """
+    n = graph.n_vertices
+    rng = ctx.rng(salt=2)
+    frontier = np.unique(
+        np.append(rng.choice(n, size=max(1, n // 4)), ctx.source)
+    )
+    settled = rng.random(n) < 1 / 3
+    dist = np.where(settled, rng.uniform(0.0, 4.0, n), np.inf)
+    levels = np.where(settled, rng.integers(0, _FRONTIER_LEVEL, n), -1)
+    dist[frontier] = 1.0
+    levels[frontier] = _FRONTIER_LEVEL
+    return frontier, dist, levels
+
+
+def _run_advance_semiring(graph, variant, ctx):
+    frontier, dist, levels = _advance_state(graph, ctx)
+    parents = np.full(graph.n_vertices, INVALID_VERTEX, dtype=VERTEX_DTYPE)
+
+    def expand(condition):
+        out = neighbors_expand(
+            variant.policy or "par_vector",
+            graph,
+            SparseFrontier.from_indices(frontier, graph.n_vertices),
+            condition,
+            direction=variant.direction or "push",
+        )
+        return np.unique(out.to_indices()).astype(np.int64)
+
+    relaxed = expand(min_relax_condition(dist))
+    claimed = expand(claim_levels_condition(levels, parents))
+    return {"dist": dist, "relaxed": relaxed, "levels": levels, "claimed": claimed}
+
+
+def _baseline_advance_semiring(graph, ctx):
+    # The same superstep as masked semiring products: (min, +) plus the
+    # improvement filter, and (or, and) under the visited complement.
+    frontier, dist, levels = _advance_state(graph, ctx)
+    candidate, touched = spmspv(graph, frontier, dist, semiring=MIN_PLUS)
+    relaxed = touched[candidate[touched] < dist[touched]]
+    dist[relaxed] = candidate[relaxed]
+    _, claimed = spmspv(
+        graph, frontier, levels >= 0, semiring=OR_AND,
+        mask=levels >= 0, complement=True,
+    )
+    levels[claimed] = _FRONTIER_LEVEL + 1
+    return {"dist": dist, "relaxed": relaxed, "levels": levels, "claimed": claimed}
+
+
+def _cmp_advance_semiring(got, want, graph, ctx):
+    for key in ("dist", "relaxed", "levels", "claimed"):
+        outcome = exact_equal(got[key], want[key])
+        if not outcome.ok:
+            return CompareOutcome(False, f"{key}: {outcome.detail}")
+    return OK
+
+
+register(
+    OracleSpec(
+        name="advance_semiring",
+        run=_run_advance_semiring,
+        baseline=_baseline_advance_semiring,
+        compare=_cmp_advance_semiring,
+        axes=Axes(
+            policies=STANDARD_POLICIES,
+            directions=("push", "pull"),
+            fused=(True, False),
+        ),
+        baseline_name="spmspv",
+        comparator_name="exact",
+        requires=("has_vertices", "nonnegative"),
+        description=(
+            "one advance superstep == masked SpMSpV over (min, +) and (or, and)"
+        ),
     )
 )
 

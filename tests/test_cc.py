@@ -173,7 +173,6 @@ def test_labels_identical_across_methods_and_policies(case):
         connected_components(graph, method="label_propagation", policy=p)
         for p in ("seq", "par", "par_nosync", "par_vector", "par_proc")
     ]
-    runs.append(connected_components(graph, backend="linalg"))
     for run in runs:
         assert np.array_equal(run.labels, want)
         assert run.n_components == len(np.unique(want))

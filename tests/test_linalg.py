@@ -1,10 +1,10 @@
-"""The linear-algebra backend: semirings, kernels, dispatch, conformance.
+"""The reference algebra: semirings, kernels, dispatch, conformance.
 
 Three load-bearing tests live here.  The *planted-bug* test swaps the
 (min, +) semiring's additive identity for a wrong one and asserts the
-conformance matrix catches it on the linalg axis — the whole point of
-adding ``backend`` as a seventh axis is that algebra bugs are caught
-mechanically, and a harness that cannot see a planted one is a no-op.
+conformance matrix catches it through the ``advance_semiring`` oracle —
+the native advance is checked against the algebra mechanically, and a
+harness that cannot see a planted bug in it is a no-op.
 The *semiring/enactor cross-check* proves the algebra the kernels fold
 with is the same algebra the native enactor reduces with (identities
 and all).  The *scipy gating* tests run every kernel under both the
@@ -21,11 +21,11 @@ from repro.execution.backend import (
     resolve_backend,
     supports,
 )
+from repro.errors import FrontierError
 from repro.graph import from_edge_array
 from repro.graph.generators import rmat
 from repro.linalg import (
     MIN_PLUS,
-    MIN_SELECT,
     OR_AND,
     PLUS_TIMES,
     SEMIRINGS,
@@ -79,7 +79,6 @@ def test_zeros_holds_the_additive_identity():
     assert np.all(np.isinf(MIN_PLUS.zeros(4)))
     assert OR_AND.zeros(4).dtype == bool and not OR_AND.zeros(4).any()
     assert np.all(PLUS_TIMES.zeros(4) == 0.0)
-    assert np.all(np.isinf(MIN_SELECT.zeros(4)))
 
 
 def test_semiring_identities_match_enactor_reductions():
@@ -167,6 +166,20 @@ def test_spmspv_empty_frontier_returns_identities(kernel_path):
     assert np.all(y == PLUS_TIMES.add_identity)
 
 
+def test_spmspv_rejects_bad_inputs_before_any_early_return():
+    """Out-of-range frontier ids, a short ``x`` and a wrong-length mask
+    are rejected, also where the frontier expands no edge at all."""
+    graph = from_edge_array([0, 1, 2], [1, 2, 3], None, n_vertices=5)
+    x = np.zeros(5)
+    with pytest.raises(FrontierError):
+        spmspv(graph, [-5], x)
+    with pytest.raises(ValueError, match="x must have one entry"):
+        spmspv(graph, [0], np.zeros(3))
+    for frontier in ([], [4]):  # empty, and zero out-degree
+        with pytest.raises(ValueError, match="mask must have one entry"):
+            spmspv(graph, frontier, x, mask=np.zeros(2, dtype=bool))
+
+
 def test_spmspv_output_mask_drops_contributions(kernel_path):
     graph = small_graph()
     n = graph.n_vertices
@@ -203,12 +216,14 @@ def test_scipy_gating_env_and_context(monkeypatch):
 def test_resolve_backend_table():
     assert resolve_backend(None, "sssp") == "native"
     assert resolve_backend("native", "sssp") == "native"
-    assert resolve_backend("linalg", "sssp") == "linalg"
+    for traversal in ("bfs", "sssp", "cc"):
+        assert resolve_backend("linalg", traversal) == "native"
+        assert not supports("linalg", traversal)
+    assert resolve_backend("linalg", "spgemm") == "linalg"
     assert resolve_backend("auto", "pagerank") == "linalg"
     assert resolve_backend("auto", "astar") == "native"
-    assert supports("linalg", "bfs")
     assert not supports("linalg", "astar")
-    assert "native" in BACKENDS and "linalg" in BACKENDS
+    assert BACKENDS == ("native", "linalg", "auto")
 
 
 def test_unknown_backend_raises_through_the_entry_point():
@@ -234,33 +249,46 @@ def test_linalg_fallback_emits_probe_event_and_counter():
 
 
 def test_every_linalg_algorithm_is_dispatchable():
-    assert LINALG_ALGORITHMS == {
-        "bfs", "sssp", "cc", "pagerank", "ppr", "hits", "spmv", "spgemm"
+    assert LINALG_ALGORITHMS == {"pagerank", "ppr", "hits", "spmv", "spgemm"}
+    # The traversals have no matrix driver: "linalg" resolves native.
+    for traversal in ("bfs", "sssp", "cc"):
+        assert resolve_backend("linalg", traversal) == "native"
+
+
+def test_linalg_traversals_run_native_and_record_one_fallback():
+    from repro.algorithms import bfs, connected_components, sssp
+
+    graph = rmat(8, 8, weighted=True, seed=11)
+    runs = {
+        "bfs": lambda **kw: bfs(graph, 0, **kw).levels,
+        "sssp": lambda **kw: sssp(graph, 0, **kw).distances,
+        "cc": lambda **kw: connected_components(graph, **kw).labels,
     }
+    for name, run in runs.items():
+        probe = Probe(trace=True)
+        with probe:
+            with probe.span("test"):
+                got = run(backend="linalg")
+        assert np.array_equal(got, run()), name
+        fallbacks = [
+            e
+            for span in probe.tracer.spans()
+            for e in span.events or ()
+            if e.name == "backend:fallback"
+        ]
+        assert len(fallbacks) == 1, name
+        assert fallbacks[0].attrs["algorithm"] == name
+        assert probe.metrics.counter("backend.fallbacks").value == 1
 
 
 # -- end-to-end equivalence through the entry points --------------------------
 
 
 def test_entry_points_agree_across_backends(kernel_path):
-    from repro.algorithms import bfs, connected_components, pagerank, sssp
+    from repro.algorithms import pagerank
     from repro.algorithms.spmv import spmv as spmv_algo
 
     graph = rmat(8, 8, weighted=True, seed=11)
-    np.testing.assert_array_equal(
-        bfs(graph, 0, backend="linalg").levels, bfs(graph, 0).levels
-    )
-    np.testing.assert_allclose(
-        sssp(graph, 0, backend="linalg").distances,
-        sssp(graph, 0).distances,
-        rtol=1e-5,
-    )
-    # Same partition (labels are canonical-representative choices).
-    got_labels = connected_components(graph, backend="linalg").labels
-    want_labels = connected_components(graph).labels
-    _, got_canon = np.unique(got_labels, return_inverse=True)
-    _, want_canon = np.unique(want_labels, return_inverse=True)
-    np.testing.assert_array_equal(got_canon, want_canon)
     np.testing.assert_allclose(
         pagerank(graph, backend="linalg").ranks,
         pagerank(graph).ranks,
@@ -296,9 +324,9 @@ def test_spgemm_backends_agree(kernel_path):
 
 
 def test_matrix_catches_wrong_identity_semiring(monkeypatch):
-    """A (min, +) semiring with identity 0 collapses every distance to 0;
-    the linalg axis of the conformance matrix must notice."""
-    import repro.linalg.algorithms as linalg_algos
+    """A (min, +) semiring with identity 0 collapses every relaxed
+    distance to 0; the ``advance_semiring`` oracle must notice."""
+    import repro.verify.oracles as oracles
     from repro.verify import run_matrix
 
     broken = Semiring(
@@ -307,29 +335,26 @@ def test_matrix_catches_wrong_identity_semiring(monkeypatch):
         multiply=lambda x, w: x + w,
         add_identity=0.0,  # the bug: ⊕ identity of min is +inf, not 0
     )
-    monkeypatch.setattr(linalg_algos, "MIN_PLUS", broken)
+    monkeypatch.setattr(oracles, "MIN_PLUS", broken)
     report = run_matrix(
         seed=0,
         quick=True,
-        algos=["sssp"],
+        algos=["advance_semiring", "sssp", "bfs"],
         graphs=["chain32", "star16"],
-        backends=["linalg"],
     )
     assert report.cells_run > 0
     assert not report.ok, "planted wrong-identity semiring went undetected"
-    assert all(m.cell.variant.backend == "linalg" for m in report.mismatches)
-    assert any("--backend linalg" in m.repro for m in report.mismatches)
+    assert all(m.cell.algo == "advance_semiring" for m in report.mismatches)
+    assert any("--algo advance_semiring" in m.repro for m in report.mismatches)
 
 
 def test_matrix_linalg_axis_is_clean_when_unbroken():
     from repro.verify import run_matrix
 
-    report = run_matrix(
-        seed=0,
-        quick=True,
-        algos=["sssp", "bfs", "pagerank"],
-        graphs=["chain32", "multiedge4", "selfloops4"],
-        backends=["linalg"],
-    )
+    report = run_matrix(seed=0, quick=True, algos=["advance_semiring"])
     assert report.ok, [m.detail for m in report.mismatches]
     assert report.cells_run > 0
+    spgemm = run_matrix(seed=0, quick=True, backends=["linalg"])
+    assert spgemm.ok, [m.detail for m in spgemm.mismatches]
+    assert set(spgemm.per_algo) == {"spgemm"}
+    assert spgemm.cells_run > 0
