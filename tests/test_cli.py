@@ -104,6 +104,45 @@ class TestRun:
     def test_policy_flag(self, graph_file, capsys):
         assert main(["run", "sssp", graph_file, "--policy", "seq"]) == 0
 
+    @pytest.mark.parametrize(
+        "algorithm, entry",
+        [
+            ("sssp", "sssp"),
+            ("bfs", "bfs"),
+            ("pagerank", "pagerank"),
+            ("cc", "connected_components"),
+            ("tc", "triangle_count"),
+            ("kcore", "kcore_decomposition"),
+            ("color", "graph_coloring"),
+            ("ppr", "personalized_pagerank"),
+            ("mis", "maximal_independent_set"),
+            ("ktruss", "ktruss_decomposition"),
+        ],
+    )
+    def test_policy_reaches_the_entry_point(
+        self, graph_file, algorithm, entry, monkeypatch, capsys
+    ):
+        import repro.algorithms as alg
+
+        real = getattr(alg, entry)
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("policy"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(alg, entry, spy)
+        assert main(["run", algorithm, graph_file, "--policy", "seq"]) == 0
+        assert seen == ["seq"]
+
+    @pytest.mark.parametrize("algorithm", ["scc", "communities"])
+    def test_policy_is_a_usage_error_without_a_policy_parameter(
+        self, graph_file, algorithm, capsys
+    ):
+        with pytest.raises(SystemExit, match="--policy"):
+            main(["run", algorithm, graph_file, "--policy", "seq"])
+        assert main(["run", algorithm, graph_file]) == 0
+
     def test_sssp_matches_library(self, graph_file, tmp_path):
         from repro.algorithms import sssp
 

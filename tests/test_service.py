@@ -95,6 +95,34 @@ class TestProtocol:
         assert resp["server"]["cached"] is True
 
 
+@pytest.mark.parametrize(
+    "algorithm, entry",
+    [
+        ("pagerank", "pagerank"),
+        ("ppr", "personalized_pagerank"),
+        ("bfs", "bfs"),
+        ("sssp", "sssp"),
+        ("cc", "connected_components"),
+    ],
+)
+def test_query_policy_reaches_the_entry_point(algorithm, entry, monkeypatch):
+    import repro.algorithms as alg
+    from repro.graph.generators import grid_2d
+    from repro.service.queries import execute_query
+
+    real = getattr(alg, entry)
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("policy"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(alg, entry, spy)
+    graph = grid_2d(5, 5, weighted=True, seed=1)
+    execute_query(graph, algorithm, {"source": 0, "policy": "seq"})
+    assert seen == ["seq"]
+
+
 # -- admission -------------------------------------------------------------------------
 
 
