@@ -402,8 +402,12 @@ def _run_body(args: argparse.Namespace, probe=None) -> int:
 
     import repro.algorithms as alg
 
-    g = _load_graph(args.graph, directed=not args.undirected)
     name = args.algorithm
+    if name in ("scc", "communities") and args.policy != "par_vector":
+        raise SystemExit(
+            f"--policy is not supported by {name!r}, which has one schedule"
+        )
+    g = _load_graph(args.graph, directed=not args.undirected)
     resilience = _build_resilience(args)
     t0 = time_mod.perf_counter()
     backend = getattr(args, "backend", "native")
@@ -421,6 +425,7 @@ def _run_body(args: argparse.Namespace, probe=None) -> int:
         result = alg.bfs(
             g,
             args.source,
+            policy=args.policy,
             direction=args.direction,
             resilience=resilience,
             backend=backend,
@@ -428,12 +433,12 @@ def _run_body(args: argparse.Namespace, probe=None) -> int:
         values = result.levels
         stats = result.stats
     elif name == "pagerank":
-        result = alg.pagerank(g, backend=backend)
+        result = alg.pagerank(g, policy=args.policy, backend=backend)
         values = result.ranks
         stats = result.stats
     elif name == "cc":
         result = alg.connected_components(
-            g, resilience=resilience, backend=backend
+            g, policy=args.policy, resilience=resilience, backend=backend
         )
         values = result.labels
         stats = result.stats
@@ -444,7 +449,7 @@ def _run_body(args: argparse.Namespace, probe=None) -> int:
         stats = result.stats
         print(f"strongly connected components: {result.n_components}")
     elif name == "tc":
-        result = alg.triangle_count(g)
+        result = alg.triangle_count(g, policy=args.policy)
         print(f"triangles: {result.total}")
         _append_ledger_record(
             args,
@@ -457,26 +462,30 @@ def _run_body(args: argparse.Namespace, probe=None) -> int:
         )
         return 0
     elif name == "kcore":
-        result = alg.kcore_decomposition(g)
+        result = alg.kcore_decomposition(g, policy=args.policy)
         values = result.core_numbers
         stats = result.stats
         print(f"degeneracy: {result.max_core}")
     elif name == "color":
-        result = alg.graph_coloring(g, seed=args.seed)
+        result = alg.graph_coloring(g, policy=args.policy, seed=args.seed)
         values = result.colors
         stats = result.stats
         print(f"colors: {result.n_colors}")
     elif name == "ppr":
-        result = alg.personalized_pagerank(g, args.source, backend=backend)
+        result = alg.personalized_pagerank(
+            g, args.source, policy=args.policy, backend=backend
+        )
         values = result.ranks
         stats = result.stats
     elif name == "mis":
-        result = alg.maximal_independent_set(g, seed=args.seed)
+        result = alg.maximal_independent_set(
+            g, policy=args.policy, seed=args.seed
+        )
         values = result.in_set
         stats = result.stats
         print(f"independent set size: {result.size}")
     elif name == "ktruss":
-        result = alg.ktruss_decomposition(g)
+        result = alg.ktruss_decomposition(g, policy=args.policy)
         print(f"max truss: {result.max_truss}")
         _append_ledger_record(
             args,

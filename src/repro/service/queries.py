@@ -22,7 +22,7 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from repro.errors import ProtocolError
+from repro.errors import ExecutionPolicyError, ProtocolError
 from repro.graph.graph import Graph
 from repro.resilience.deadline import active_token
 
@@ -68,6 +68,7 @@ def execute_query(
             raise ProtocolError(
                 f"'source' {source} out of range [0, {graph.n_vertices})"
             )
+    policy = str(params.get("policy", "par_vector"))
     try:
         if algorithm == "pagerank":
             r = alg.pagerank(
@@ -75,6 +76,7 @@ def execute_query(
                 damping=float(params.get("damping", 0.85)),
                 tolerance=float(params.get("tolerance", 1e-6)),
                 max_iterations=int(params.get("max_iterations", 100)),
+                policy=policy,
             )
             values, extra = r.ranks, {"delta": r.delta}
         elif algorithm == "ppr":
@@ -84,12 +86,14 @@ def execute_query(
                 damping=float(params.get("damping", 0.85)),
                 tolerance=float(params.get("tolerance", 1e-8)),
                 max_iterations=int(params.get("max_iterations", 200)),
+                policy=policy,
             )
             values, extra = r.ranks, {"seeds": [int(s) for s in r.seeds]}
         elif algorithm == "bfs":
             r = alg.bfs(
                 graph,
                 int(params.get("source", 0)),
+                policy=policy,
                 direction=str(params.get("direction", "push")),
                 resilience=resilience,
             )
@@ -99,7 +103,7 @@ def execute_query(
             r = alg.sssp(
                 graph,
                 int(params.get("source", 0)),
-                policy=str(params.get("policy", "par_vector")),
+                policy=policy,
                 resilience=resilience,
             )
             values = r.distances
@@ -107,13 +111,16 @@ def execute_query(
                 "reached": int(np.count_nonzero(np.isfinite(r.distances)))
             }
         elif algorithm == "cc":
-            r = alg.connected_components(graph, resilience=resilience)
+            r = alg.connected_components(
+                graph, policy=policy, resilience=resilience
+            )
             values, extra = r.labels, {"n_components": int(r.n_components)}
         else:  # pragma: no cover - protocol validation guards this
             raise ProtocolError(f"unknown algorithm {algorithm!r}")
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, ExecutionPolicyError) as exc:
         # Bad parameter values (negative damping, out-of-range source,
-        # non-numeric strings) are the client's error, not the server's.
+        # non-numeric strings, unknown policies) are the client's error,
+        # not the server's.
         raise ProtocolError(f"bad {algorithm} parameters: {exc}") from exc
 
     stats = getattr(r, "stats", None)

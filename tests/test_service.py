@@ -121,6 +121,8 @@ def test_query_policy_reaches_the_entry_point(algorithm, entry, monkeypatch):
     graph = grid_2d(5, 5, weighted=True, seed=1)
     execute_query(graph, algorithm, {"source": 0, "policy": "seq"})
     assert seen == ["seq"]
+    with pytest.raises(ProtocolError):
+        execute_query(graph, algorithm, {"source": 0, "policy": "warp"})
 
 
 # -- admission -------------------------------------------------------------------------
