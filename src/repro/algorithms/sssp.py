@@ -14,9 +14,12 @@ representations.
 A near/far filter then splits each superstep's emitted set (Gunrock's
 near-far, an operator-level change §IV-C says the loop admits): labels
 below a threshold are the next frontier, the rest wait until the
-threshold advances by Δ (the mean edge weight) — ~10x fewer edge
-relaxations on a weighted grid.  ``delta=inf`` gives back the plain
-listing; distances are bit-identical under every Δ, since the final
+threshold advances — ~10x fewer edge relaxations on a weighted grid.
+By default the step is sized by work: it starts at Δ (the mean edge
+weight) and doubles, up to 8Δ, while a refill's near set carries too
+few edges to pay for a superstep, so high-diameter graphs run fewer,
+fuller supersteps.  ``delta=inf`` gives back the plain listing;
+distances are bit-identical under every schedule, since the final
 label is the minimum float32 path sum whichever order relaxes it.
 
 :func:`sssp_async` maps the other timing model: the asynchronous
@@ -78,29 +81,89 @@ class SSSPResult:
         return self.distances < INF
 
 
+#: Work-sized near-far width, in edges: a refill whose near set has
+#: fewer out-edges than this doubles the width for the next refill, one
+#: with more than ``4 *`` this halves it.  A superstep's fixed cost
+#: (~60 us) is the cost of ~2.7k edges at ~22 ns each on rmat-16.
+NEAR_WORK_EDGES = 2048
+
+#: Bounds of the work-sized width, in multiples of Δ.
+WIDTH_FLOOR = 1
+WIDTH_CAP = 8
+
+
+def _split_attrs(near, far, threshold, width) -> dict:
+    """What a traced near/far split records."""
+    return {
+        "near": int(near.size),
+        "far": sum(map(len, far)),
+        "threshold": threshold,
+        "width": width,
+    }
+
+
 class _NearFar:
     """Gunrock's near/far split of each superstep's emitted set.
 
     Ids labelled below ``state.context["threshold"]`` are the next
     frontier; the rest are parked in the far pile.  When the near part
-    comes back empty the threshold moves to ``min(dist[far]) + delta``
-    and the pile is re-split.  At a superstep boundary the pile is
+    comes back empty the threshold moves to ``min(dist[far]) + width``
+    and the pile is re-split.  With ``degrees`` the width
+    (``state.context["width"]``) is sized by work: each refill's near
+    set out-degree sum picks the next refill's width in
+    ``[WIDTH_FLOOR, WIDTH_CAP] * delta`` (see :data:`NEAR_WORK_EDGES`);
+    without, it stays ``delta``.  At a superstep boundary the pile is
     exactly ``{v : threshold <= dist[v] < INF}`` (a label at or above the
     threshold was parked when set and never expanded), so checkpoints
-    carry only the threshold and a resumed run rebuilds the pile from
-    ``dist``; parked ids whose label has since dropped below the
-    threshold were expanded as near ids and are dropped on re-split.
+    carry only the threshold and width and a resumed run rebuilds the
+    pile from ``dist``; parked ids whose label has since dropped below
+    the threshold were expanded as near ids and are dropped on re-split.
     """
 
-    def __init__(self, dist: np.ndarray, delta: float, workspace) -> None:
+    def __init__(
+        self, dist: np.ndarray, delta: float, workspace,
+        degrees: Optional[np.ndarray] = None,
+    ) -> None:
         self.dist, self.delta, self.workspace = dist, delta, workspace
+        self.degrees = degrees
         self._run: Optional[LoopState] = None  # the run the pile belongs to
         self._far: list = []  # parked id arrays; may repeat or be stale
 
+    def _next_width(self, width: float, near: np.ndarray) -> float:
+        """The width after a refill whose near set is ``near``."""
+        work = int(self.degrees.take(near).sum())
+        if work < NEAR_WORK_EDGES:
+            return min(width * 2, WIDTH_CAP * self.delta)
+        if work > 4 * NEAR_WORK_EDGES:
+            return max(width / 2, WIDTH_FLOOR * self.delta)
+        return width
+
+    def _refill(self, far: list, threshold: float, width: float):
+        """Re-split the far pile once the near part came back empty;
+        returns the next ``(near, far, threshold, width)``."""
+        dist = self.dist
+        pile = np.concatenate(far)
+        labels = dist.take(pile)
+        live = labels >= np.float64(threshold)
+        pile, labels = pile.compress(live), labels.compress(live)
+        if not pile.size:
+            return pile, [], threshold, width
+        low = float(labels.min())
+        # nextafter: a width below the label's ulp still promotes the
+        # minimum.
+        threshold = max(low + width, math.nextafter(low, math.inf))
+        is_near = labels < np.float64(threshold)
+        near = dedup_ids(pile.compress(is_near), dist.shape[0], self.workspace)
+        if self.degrees is not None:
+            width = self._next_width(width, near)
+        return near, [pile.compress(~is_near)], threshold, width
+
     def __call__(self, out: Frontier, state: LoopState) -> Frontier:
         dist = self.dist
+        context = state.context
         # float64 compares throughout: float32 ones round the threshold.
-        threshold = state.context.get("threshold", self.delta)
+        threshold = context.get("threshold", self.delta)
+        width = context.get("width", self.delta)
         far = self._far
         if state is not self._run:  # a fresh run, or a resumed one
             far = [] if state.iteration == 0 else [
@@ -113,38 +176,31 @@ class _NearFar:
             if isinstance(out, SparseFrontier)
             else out.to_indices()
         )
+        is_far = dist.take(ids) >= np.float64(threshold)
+        near = ids
+        if is_far.any():
+            far, near = far + [ids.compress(is_far)], ids.compress(~is_far)
         probe = active_probe()
-        with probe.span("frontier:split") as span:
-            is_far = dist.take(ids) >= np.float64(threshold)
-            near = ids
-            if is_far.any():
-                far, near = far + [ids.compress(is_far)], ids.compress(~is_far)
-            if near.size == 0 and far:
-                pile = np.concatenate(far)
-                labels = dist.take(pile)
-                live = labels >= np.float64(threshold)
-                pile, labels, far = pile.compress(live), labels.compress(live), []
-                if pile.size:
-                    low = float(labels.min())
-                    # nextafter: a delta below the label's ulp still
-                    # promotes the minimum.
-                    threshold = max(low + self.delta, math.nextafter(low, math.inf))
-                    is_near = labels < np.float64(threshold)
-                    n = dist.shape[0]
-                    near = dedup_ids(pile.compress(is_near), n, self.workspace)
-                    far = [pile.compress(~is_near)]
-            if probe.enabled:
-                span.set("near", int(near.size))
-                span.set("far", sum(map(len, far)))
-                span.set("threshold", threshold)
+        if near.size == 0 and far:
+            # The refill is the split's one heavy step and gets its own
+            # frontier-layer span; a plain split is an event on the
+            # superstep, so a traced superstep stays at two spans.
+            with probe.span("frontier:split") as span:
+                near, far, threshold, width = self._refill(far, threshold, width)
+                if probe.enabled:
+                    span.attrs.update(_split_attrs(near, far, threshold, width))
+        elif probe.enabled:
+            probe.event(
+                "frontier:split", **_split_attrs(near, far, threshold, width)
+            )
         # Committed only after the expand returned: a retried superstep
-        # re-runs from the same pile and threshold.
+        # re-runs from the same pile, threshold and width.
         self._run, self._far = state, far
-        state.context["threshold"] = threshold
+        context["threshold"], context["width"] = threshold, width
         if near is ids:
             return out
         frontier = SparseFrontier(dist.shape[0])
-        frontier.add_many_trusted(near)
+        frontier.adopt(near)
         return frontier
 
 
@@ -182,13 +238,17 @@ def sssp(
         Uniquify between supersteps (saves re-relaxations; disable to
         observe the raw Listing 4 behavior, which is still correct).
     delta:
-        Width Δ of the near/far threshold step; ``None`` means the mean
-        edge weight (``inf`` when that is zero), ``math.inf`` runs
-        Listing 4 verbatim.  Changes the schedule, never the distances.
+        Width Δ of the near/far threshold step.  ``None`` sizes the
+        width by work: it starts at the mean edge weight Δ and moves
+        within [Δ, 8Δ] so each refill's near set carries about
+        :data:`NEAR_WORK_EDGES` out-edges (Listing 4 verbatim when the
+        mean weight is zero).  An explicit value is a fixed width;
+        ``math.inf`` runs Listing 4 verbatim.  Changes the schedule,
+        never the distances.
     resilience:
         Optional :class:`~repro.resilience.ResiliencePolicy` — superstep
         retry under chaos plus checkpointing of the distance array (the
-        threshold rides in the checkpoint's loop context).
+        threshold and width ride in the checkpoint's loop context).
     backend:
         Validated and recorded; SSSP has no matrix driver, so
         ``"linalg"`` runs native with a ``backend:fallback`` event.
@@ -199,7 +259,9 @@ def sssp(
     policy = resolve_policy(policy)
     n = graph.n_vertices
     source = check_vertex_in_range(source, n)
+    degrees = None  # a fixed width unless sized by work
     if delta is None:
+        degrees = graph.out_degrees()
         values = graph.csr().values
         delta = graph.derived(
             "sssp.mean_weight",
@@ -243,7 +305,9 @@ def sssp(
         and fused_kernel_of(condition) is not None
     )
     near_far = (
-        None if delta == math.inf else _NearFar(dist, delta, enactor.workspace)
+        None
+        if delta == math.inf
+        else _NearFar(dist, delta, enactor.workspace, degrees)
     )
 
     def step(f, state):

@@ -56,7 +56,8 @@ class Workspace:
     ) -> np.ndarray:
         """A length-``size`` scratch view named ``name`` (contents
         undefined — callers must overwrite before reading)."""
-        dtype = np.dtype(dtype)
+        # ``buf.dtype != dtype`` converts a type argument itself, so the
+        # hit path never builds an ``np.dtype``.
         buf = self._buffers.get(name)
         if buf is None or buf.dtype != dtype or buf.shape[0] < size:
             room = max(size, _MIN_ROOM)

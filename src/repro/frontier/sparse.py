@@ -23,6 +23,11 @@ from repro.utils.validation import check_vertex_in_range, check_vertices_in_rang
 
 _INITIAL_ROOM = 16
 
+#: Shared zero-length storage of a new frontier: nothing is allocated
+#: until the first append (or an :meth:`SparseFrontier.adopt`), and a
+#: zero-length array can never be written through.
+_NO_STORAGE = np.empty(0, dtype=VERTEX_DTYPE)
+
 
 class SparseFrontier(Frontier):
     """Active vertices stored as a growable id vector."""
@@ -31,7 +36,7 @@ class SparseFrontier(Frontier):
 
     def __init__(self, capacity: int) -> None:
         super().__init__(capacity)
-        self._data = np.empty(_INITIAL_ROOM, dtype=VERTEX_DTYPE)
+        self._data = _NO_STORAGE
         self._size = 0
 
     # -- construction ----------------------------------------------------------------
@@ -75,7 +80,7 @@ class SparseFrontier(Frontier):
         needed = self._size + extra
         if needed <= self._data.shape[0]:
             return
-        new_room = max(needed, self._data.shape[0] * 2)
+        new_room = max(needed, self._data.shape[0] * 2, _INITIAL_ROOM)
         grown = np.empty(new_room, dtype=VERTEX_DTYPE)
         grown[: self._size] = self._data[: self._size]
         self._data = grown
@@ -117,6 +122,20 @@ class SparseFrontier(Frontier):
         self._reserve(k)
         self._data[self._size : self._size + k] = arr
         self._size += k
+
+    def adopt(self, ids: np.ndarray) -> None:
+        """Take ownership of ``ids`` as the storage of an empty frontier.
+
+        The zero-copy form of :meth:`add_many_trusted` for a kernel's
+        fresh output: ``ids`` must be a 1-D ``VERTEX_DTYPE`` array of
+        valid ids that nothing else holds, since the frontier keeps it
+        as its storage and mutates it in place.  A non-empty frontier
+        appends instead.
+        """
+        if self._size:
+            self.add_many_trusted(ids)
+        else:
+            self._data, self._size = ids, ids.shape[0]
 
     def clear(self) -> None:
         self._size = 0

@@ -74,6 +74,7 @@ class Graph:
         counts = {v.get_num_vertices() for v in self._views.values()}
         if len(counts) != 1:
             raise GraphViewError(f"views disagree on vertex count: {sorted(counts)}")
+        self._n_vertices = counts.pop()
 
     # -- view management ----------------------------------------------------------
 
@@ -118,11 +119,17 @@ class Graph:
 
     def csr(self) -> CSRMatrix:
         """The push-traversal (CSR) view."""
-        return self.view("csr")  # type: ignore[return-value]
+        try:  # the hot path: one dict lookup once the view exists
+            return self._views["csr"]  # type: ignore[return-value]
+        except KeyError:
+            return self.view("csr")  # type: ignore[return-value]
 
     def csc(self) -> CSCMatrix:
         """The pull-traversal (CSC / transposed) view."""
-        return self.view("csc")  # type: ignore[return-value]
+        try:
+            return self._views["csc"]  # type: ignore[return-value]
+        except KeyError:
+            return self.view("csc")  # type: ignore[return-value]
 
     def coo(self) -> COOMatrix:
         """The edge-list (COO) view."""
@@ -184,7 +191,7 @@ class Graph:
 
     @property
     def n_vertices(self) -> int:
-        return next(iter(self._views.values())).get_num_vertices()
+        return self._n_vertices
 
     @property
     def n_edges(self) -> int:
@@ -223,8 +230,14 @@ class Graph:
         return self.csc().get_in_neighbors(v)
 
     def out_degrees(self) -> np.ndarray:
-        """Out-degree of every vertex."""
-        return self.csr().degrees()
+        """Out-degree of every vertex (cached per graph, read-only)."""
+
+        def build() -> np.ndarray:
+            degrees = self.csr().degrees()
+            degrees.flags.writeable = False
+            return degrees
+
+        return self.derived("out_degrees", build)
 
     def in_degrees(self) -> np.ndarray:
         """In-degree of every vertex (forces the CSC view)."""

@@ -101,7 +101,7 @@ class AsyncEnactor:
         counted = process
         edges = [0]
         if self.collect_stats:
-            degrees = self.graph.csr().degrees()
+            degrees = self.graph.out_degrees()
             edges_lock = threading.Lock()
 
             def counted(item: int, push) -> None:  # noqa: F811

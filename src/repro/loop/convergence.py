@@ -52,7 +52,8 @@ class EmptyFrontier(ConvergenceCondition):
     stopping rule of traversal algorithms."""
 
     def __call__(self, state: LoopState) -> bool:
-        return state.frontier is None or state.frontier.is_empty()
+        # size() rather than is_empty(): one call fewer per superstep.
+        return state.frontier is None or state.frontier.size() == 0
 
     def __repr__(self) -> str:
         return "EmptyFrontier()"

@@ -113,7 +113,7 @@ class Enactor:
             state.context.update(context)
         stats = RunStats()
         probe = active_probe()
-        degrees = self.graph.csr().degrees() if self.collect_stats else None
+        degrees = self.graph.out_degrees() if self.collect_stats else None
         checkpointing = (
             resilience is not None
             and resilience.checkpoint_every > 0
@@ -153,7 +153,7 @@ class Enactor:
                             if isinstance(frontier, SparseFrontier)
                             else frontier.to_indices()
                         )
-                        edges_touched = int(degrees.take(active).sum())
+                        edges_touched = int(np.add.reduce(degrees.take(active)))
                     t0 = time.perf_counter()
                 frontier = self._run_step(step, frontier, state, resilience)
                 if probe.enabled:

@@ -319,8 +319,10 @@ class SuperstepRow:
     direction: Optional[str] = None
     fused: Optional[bool] = None
     representation: Optional[str] = None
-    #: Near/far split threshold after the step (``frontier:split``).
+    #: Near/far split threshold and width after the step
+    #: (``frontier:split``).
     threshold: Optional[float] = None
+    width: Optional[float] = None
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-friendly form; ``None`` fields are omitted."""
@@ -528,7 +530,7 @@ class AnalysisReport:
             out.append(
                 f"  {'step':>5} {'frontier':>9} {'out':>9} {'edges':>9} "
                 f"{'dens':>6} {'dir':<5} {'fused':<5} {'repr':<7} {'ms':>8}"
-                + (f" {'threshold':>10}" if split else "")
+                + (f" {'threshold':>10} {'width':>10}" if split else "")
             )
             shown = rows
             if len(rows) > max_timeline_rows:
@@ -541,6 +543,7 @@ class AnalysisReport:
                 previous_index = row.index
                 dens = f"{row.density:.1%}" if row.density is not None else "-"
                 thr = "-" if row.threshold is None else f"{row.threshold:.6g}"
+                width = "-" if row.width is None else f"{row.width:.6g}"
                 out.append(
                     f"  {row.iteration!s:>5} "
                     f"{row.frontier_size if row.frontier_size is not None else '-':>9} "
@@ -550,7 +553,7 @@ class AnalysisReport:
                     f"{('yes' if row.fused else 'no') if row.fused is not None else '-':<5} "
                     f"{row.representation or '-':<7} "
                     f"{row.seconds * 1e3:>8.3f}"
-                    + (f" {thr:>10}" if split else "")
+                    + (f" {thr:>10} {width:>10}" if split else "")
                 )
             if self.direction_flips:
                 out.append(f"  direction flips: {self.direction_flips}")
@@ -721,9 +724,17 @@ def analyze_spans(
         advance = next(
             (c for c in _walk(n) if c.name == "operator:advance"), None
         )
-        split = next((c for c in _walk(n) if c.name == "frontier:split"), None)
+        # The near/far split: a child span when it refilled from the far
+        # pile, else an event on the superstep.
+        split = next((c.attrs for c in _walk(n) if c.name == "frontier:split"), None)
+        if split is None:
+            split = next(
+                (e.get("attrs", {}) for e in n.events if e.get("name") == "frontier:split"),
+                None,
+            )
         if split is not None:
-            row.threshold = split.attrs.get("threshold")
+            row.threshold = split.get("threshold")
+            row.width = split.get("width")
         if advance is not None:
             row.direction = advance.attrs.get("direction")
             row.fused = advance.attrs.get("fused")

@@ -111,9 +111,10 @@ def fused_kernel_of(condition: Callable) -> Optional["FusedKernel"]:
 
 
 def emit(output: Frontier, ids: np.ndarray) -> Frontier:
-    """Append ``ids`` (already-validated vertex ids) to ``output``."""
+    """Append ``ids`` to ``output``: a kernel's fresh winners, valid
+    ``VERTEX_DTYPE`` ids that a sparse output adopts without a copy."""
     if isinstance(output, SparseFrontier):
-        output.add_many_trusted(ids)
+        output.adopt(ids)
     else:  # dense, queue or exotic frontier: generic path
         output.add_many(ids)
     return output
@@ -201,11 +202,12 @@ def sort_unique(ids: np.ndarray) -> np.ndarray:
     ``numpy.ma`` import (a one-time ~20 ms hit that would otherwise land
     inside the first timed superstep of a cold process).
     """
-    s = np.sort(ids)
+    s = ids.astype(VERTEX_DTYPE)  # a copy, sorted in place
+    s.sort()
     keep = np.empty(s.shape, dtype=bool)
     keep[:1] = True
     np.not_equal(s[1:], s[:-1], out=keep[1:])
-    return s.compress(keep).astype(VERTEX_DTYPE, copy=False)
+    return s.compress(keep)
 
 
 def dedup_ids(

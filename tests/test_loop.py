@@ -196,6 +196,40 @@ class TestEnactor:
         assert iterations == [0, 1]
 
 
+def _calls_per_superstep(run) -> float:
+    """Python (``call``) plus C (``c_call``) profile events per superstep
+    of ``run()``, measured warm."""
+    import sys
+
+    run()  # lazy imports and derived caches are not the floor
+    events = [0]
+
+    def count(frame, event, arg):
+        if event == "call" or event == "c_call":
+            events[0] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(previous)
+    return events[0] / result.stats.num_iterations
+
+
+@pytest.mark.parametrize("algorithm, ceiling", [("bfs", 76), ("sssp", 92)])
+def test_superstep_call_floor(algorithm, ceiling):
+    # The fixed cost of a superstep is interpreter calls, not edge work:
+    # on a high-diameter graph it is most of the run.  Pinned here so
+    # the floor only moves down (84 and 108 calls before it was cut).
+    import repro
+    from repro.graph.generators import grid_2d
+
+    g = grid_2d(64, 64, weighted=True, seed=0)
+    entry = getattr(repro, algorithm)
+    assert _calls_per_superstep(lambda: entry(g, 0)) <= ceiling
+
+
 class TestAsyncEnactor:
     def test_quiescence(self, diamond_graph):
         import threading

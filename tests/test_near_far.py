@@ -1,10 +1,12 @@
 """The near/far schedule of ``sssp`` and the size-aware frontier dedup.
 
 ``sssp`` splits each superstep's emitted set at a distance threshold
-(Gunrock's near-far); ``delta=math.inf`` is Listing 4 verbatim.  The
+(Gunrock's near-far); ``delta=math.inf`` is Listing 4 verbatim, and the
+default sizes the threshold's width by each refill's work.  The
 schedule may change supersteps and work, never a single bit of the
 distances — under any policy, direction or output representation, and
-across a checkpoint/resume taken while vertices wait in the far pile.
+across a checkpoint/resume taken while vertices wait in the far pile
+or the width is widened.
 ``dedup_ids`` picks sort or bitmap by input size and must return the
 same set either way.
 """
@@ -22,7 +24,7 @@ from strategies import graphs_with_source
 from repro.algorithms import sssp
 from repro.execution.workspace import Workspace
 from repro.graph import from_edge_array
-from repro.graph.generators import grid_2d
+from repro.graph.generators import grid_2d, rmat
 from repro.loop.enactor import Enactor
 from repro.observability.analysis import analyze_probe, layer_of
 from repro.observability.probe import Probe
@@ -124,6 +126,61 @@ def test_zero_mean_weight_falls_back_to_listing4():
     assert r.stats.num_iterations == sssp(g, 0, delta=math.inf).stats.num_iterations
 
 
+# -- the work-sized width ----------------------------------------------------------
+
+
+def test_width_constants_are_pinned():
+    module = importlib.import_module("repro.algorithms.sssp")
+    assert module.NEAR_WORK_EDGES == 2048
+    assert (module.WIDTH_FLOOR, module.WIDTH_CAP) == (1, 8)
+
+
+def _widths(graph, **kwargs):
+    probe = Probe()
+    with probe:
+        sssp(graph, 0, **kwargs)
+    return [row.width for row in analyze_probe(probe).supersteps]
+
+
+def test_default_width_stays_within_floor_and_cap():
+    g = grid_2d(64, 64, weighted=True, seed=1)
+    delta = float(g.csr().values.mean())
+    widths = _widths(g)
+    assert min(widths) == delta and max(widths) == 8 * delta
+    assert all(w / delta in (1, 2, 4, 8) for w in widths)
+    # An explicit delta is a fixed width.
+    assert set(_widths(g, delta=delta)) == {delta}
+
+
+@pytest.mark.parametrize("k", [64, 128])
+def test_default_width_cuts_grid_supersteps(k):
+    g = grid_2d(k, k, weighted=True, seed=0)
+    fixed = sssp(g, 0, delta=float(g.csr().values.mean())).stats
+    sized = sssp(g, 0).stats
+    assert sized.num_iterations <= 0.75 * fixed.num_iterations
+
+
+def test_default_width_keeps_the_rmat_schedule():
+    # R-MAT refills are edge-heavy, so the width stays at delta except
+    # in the light tail, where widening merges a refill or two: the
+    # edge visits do not move and the superstep count never grows.
+    g = rmat(14, 16, weighted=True, seed=0)
+    delta = float(g.csr().values.mean())
+    sources = np.random.default_rng(0).choice(
+        np.flatnonzero(g.out_degrees()), 16, replace=False
+    )
+    fixed = [sssp(g, int(s), delta=delta).stats for s in sources]
+    sized = [sssp(g, int(s)).stats for s in sources]
+    steps = sum(r.num_iterations for r in sized) / sum(
+        r.num_iterations for r in fixed
+    )
+    edges = sum(r.total_edges_touched for r in sized) / sum(
+        r.total_edges_touched for r in fixed
+    )
+    assert 0.9 <= steps <= 1.03
+    assert abs(edges - 1) <= 0.01
+
+
 @pytest.mark.parametrize("delta", [0.0, -1.0, float("nan")])
 def test_invalid_explicit_delta_rejected(weighted_grid, delta):
     with pytest.raises(ValueError):
@@ -134,8 +191,12 @@ def test_invalid_explicit_delta_rejected(weighted_grid, delta):
 
 
 @pytest.mark.parametrize("direction", ["push", "pull"])
-@pytest.mark.parametrize("delta", ["mean/4", None, math.inf])
-@pytest.mark.parametrize("k", [16, 24, 32])
+@pytest.mark.parametrize(
+    "k, delta",
+    [(k, d) for k in (16, 24, 32) for d in ("mean/4", None, math.inf)]
+    # The work-sized default on a grid wide enough to widen it to 8Δ.
+    + [(64, None)],
+)
 def test_sssp_work_is_linear_on_weighted_grids(k, delta, direction):
     # A cost oracle: right distances are not enough.  A schedule that
     # re-expands stale or duplicate entries passes every distance check
@@ -154,13 +215,31 @@ class _Crash(RuntimeError):
     pass
 
 
-def test_resume_with_nonempty_far_pile_is_bitwise(monkeypatch):
-    g = grid_2d(24, 24, weighted=True, seed=3)
-    want = sssp(g, 0, delta=math.inf).distances
+def _parked(ckpt) -> np.ndarray:
+    """The far pile a checkpoint implies: labels at or above its
+    threshold that are still finite."""
+    saved = ckpt.arrays["dist"]
+    return (saved >= ckpt.context["threshold"]) & (saved < INF)
+
+
+def _crash_after_first_checkpoint(monkeypatch, g, every, wanted):
+    """Run the real sssp, checkpointing every ``every`` supersteps, and
+    kill it mid-interval after the first checkpoint ``wanted`` accepts.
+
+    The crash superstep comes from an uninterrupted run of the same
+    schedule, so it follows the schedule instead of a hard-coded step.
+    Returns the crashed run's ``(enactor, step, kwargs, policy)`` and
+    the uninterrupted run's stats.
+    """
+    saved = []
+    scout = ResiliencePolicy(checkpoint_every=every)
+    monkeypatch.setattr(scout.store, "save", saved.append)
+    whole = sssp(g, 0, resilience=scout).stats
+    first = next(c.superstep for c in saved if wanted(c))
     runs = []
 
     class CrashOnce(Enactor):
-        """The real sssp step, killed once at superstep 24."""
+        """The real sssp step, killed once between two checkpoints."""
 
         def run(self, frontier, step, **kwargs):
             runs.append((self, step, kwargs))
@@ -168,7 +247,7 @@ def test_resume_with_nonempty_far_pile_is_bitwise(monkeypatch):
                 return super().run(frontier, step, **kwargs)
 
             def crashing(f, state):
-                if state.iteration == 24:
+                if state.iteration == first + every // 2:
                     raise _Crash("killed mid-run")
                 return step(f, state)
 
@@ -176,16 +255,21 @@ def test_resume_with_nonempty_far_pile_is_bitwise(monkeypatch):
 
     module = importlib.import_module("repro.algorithms.sssp")
     monkeypatch.setattr(module, "Enactor", CrashOnce)
-    pol = ResiliencePolicy(checkpoint_every=7)
+    pol = ResiliencePolicy(checkpoint_every=every)
     with pytest.raises(_Crash):
         sssp(g, 0, resilience=pol)
+    assert pol.store.latest().superstep == first
+    return runs[0] + (pol,), whole
 
-    enactor, step, kwargs = runs[0]
+
+def test_resume_with_nonempty_far_pile_is_bitwise(monkeypatch):
+    g = grid_2d(24, 24, weighted=True, seed=3)
+    want = sssp(g, 0, delta=math.inf).distances
+    (enactor, step, kwargs, pol), _ = _crash_after_first_checkpoint(
+        monkeypatch, g, 7, lambda c: _parked(c).any()
+    )
     ckpt = pol.store.latest()
-    assert ckpt.superstep == 21
-    saved = ckpt.arrays["dist"]
-    parked = (saved >= ckpt.context["threshold"]) & (saved < INF)
-    assert parked.any()  # vertices were waiting in the far pile
+    assert _parked(ckpt).any()  # vertices were waiting in the far pile
     arrays = kwargs["state_arrays"]
     arrays["dist"][:] = -1.0  # the snapshot, not live state, restores
     stats = enactor.resume_from_checkpoint(
@@ -193,6 +277,26 @@ def test_resume_with_nonempty_far_pile_is_bitwise(monkeypatch):
     )
     assert stats.converged
     assert np.array_equal(arrays["dist"], want)
+
+
+def test_resume_restores_a_widened_near_far_width(monkeypatch):
+    g = grid_2d(32, 32, weighted=True, seed=3)
+    delta = float(g.csr().values.mean())
+    want = sssp(g, 0, delta=math.inf).distances
+    (enactor, step, kwargs, pol), whole = _crash_after_first_checkpoint(
+        monkeypatch, g, 5, lambda c: c.context["width"] > delta
+    )
+    ckpt = pol.store.latest()
+    assert ckpt.context["width"] > delta
+    arrays = kwargs["state_arrays"]
+    arrays["dist"][:] = -1.0
+    stats = enactor.resume_from_checkpoint(
+        step, resilience=pol, state_arrays=arrays
+    )
+    assert np.array_equal(arrays["dist"], want)
+    # Resumed at the saved width, the rest of the schedule is the
+    # uninterrupted run's; restarting at width delta would change it.
+    assert ckpt.superstep + stats.num_iterations == whole.num_iterations
 
 
 # -- observability ---------------------------------------------------------------
@@ -205,9 +309,10 @@ def test_split_span_is_frontier_layer_and_timeline_shows_threshold():
         sssp(g, 0)
     splits = [s for s in probe.tracer.spans() if s.name == "frontier:split"]
     assert splits and layer_of("frontier:split") == "frontier"
-    assert {"near", "far", "threshold"} <= set(splits[-1].attrs)
+    assert {"near", "far", "threshold", "width"} <= set(splits[-1].attrs)
     thresholds = [s.attrs["threshold"] for s in splits]
     assert thresholds == sorted(thresholds) and thresholds[-1] > thresholds[0]
     report = analyze_probe(probe)
     assert all(row.threshold is not None for row in report.supersteps)
-    assert "threshold" in report.render()
+    assert all(row.width is not None for row in report.supersteps)
+    assert "threshold" in report.render() and "width" in report.render()
