@@ -78,6 +78,16 @@ class TestSparseFrontier:
         f = SparseFrontier.from_indices([1, 3], 5)
         assert 3 in f and 2 not in f
 
+    def test_adopt_takes_the_array_without_a_copy(self):
+        ids = np.array([4, 1], dtype=np.int32)
+        f = SparseFrontier(5)
+        f.adopt(ids)
+        assert np.shares_memory(f.indices_view(), ids)
+        f.add(2)  # grows out of the adopted array, keeping its ids
+        f.adopt(np.array([0], dtype=np.int32))  # non-empty: appends
+        assert f.to_indices().tolist() == [4, 1, 2, 0]
+        assert ids.tolist() == [4, 1]
+
 
 class TestDenseFrontier:
     def test_bitmap_dedups(self):
