@@ -205,38 +205,51 @@ def nodes_from_chrome_trace(obj: Dict[str, Any]) -> List[SpanNode]:
     The Trace Event Format has no parent ids; within each track the
     complete (``"X"``) events nest by time containment, so a per-tid
     stack sweep recovers the tree exactly for traces our exporter wrote.
+    Instants (``"i"``) rejoin the innermost open span their ``span`` arg
+    names, as span events.
     """
-    completes = [
+    kept = [
         ev
         for ev in obj.get("traceEvents", [])
-        if ev.get("ph") == "X"
+        if ev.get("ph") in ("X", "i")
     ]
     # Parent spans share their child's start timestamp when the child
     # opened immediately; sorting longer-first at equal ts keeps the
-    # parent below the child on the stack.
-    completes.sort(key=lambda ev: (ev["ts"], -ev.get("dur", 0.0)))
+    # parent below the child on the stack.  Instants sort after the
+    # spans opening at their timestamp.
+    kept.sort(
+        key=lambda ev: (ev["ts"], ev["ph"] == "i", -ev.get("dur", 0.0))
+    )
     nodes: List[SpanNode] = []
     stacks: Dict[int, List[SpanNode]] = defaultdict(list)
-    for i, ev in enumerate(completes):
+    eps = 1e-9
+    for ev in kept:
         start = float(ev["ts"]) / 1e6
-        dur = float(ev.get("dur", 0.0)) / 1e6
         tid = int(ev.get("tid", 0))
-        node = SpanNode(
-            span_id=i,
-            name=ev.get("name", ""),
-            start=start,
-            duration=dur,
-            parent_id=None,
-            thread_id=tid,
-            thread_name=str(tid),
-            attrs=dict(ev.get("args", {})),
-        )
         stack = stacks[tid]
-        eps = 1e-9
         while stack and stack[-1].end <= start + eps:
             stack.pop()
-        if stack:
-            node.parent_id = stack[-1].span_id
+        args = dict(ev.get("args", {}))
+        if ev["ph"] == "i":
+            owner = args.pop("span", None)
+            args.pop("span_id", None)
+            for node in reversed(stack):
+                if node.name == owner:
+                    node.events.append(
+                        {"name": ev.get("name", ""), "ts": start, "attrs": args}
+                    )
+                    break
+            continue
+        node = SpanNode(
+            span_id=len(nodes),
+            name=ev.get("name", ""),
+            start=start,
+            duration=float(ev.get("dur", 0.0)) / 1e6,
+            parent_id=stack[-1].span_id if stack else None,
+            thread_id=tid,
+            thread_name=str(tid),
+            attrs=args,
+        )
         stack.append(node)
         nodes.append(node)
     return nodes
@@ -726,10 +739,16 @@ def analyze_spans(
         )
         # The near/far split: a child span when it refilled from the far
         # pile, else an event on the superstep.
-        split = next((c.attrs for c in _walk(n) if c.name == "frontier:split"), None)
+        split = next(
+            (c.attrs for c in _walk(n) if c.name == "frontier:split"), None
+        )
         if split is None:
             split = next(
-                (e.get("attrs", {}) for e in n.events if e.get("name") == "frontier:split"),
+                (
+                    e.get("attrs", {})
+                    for e in n.events
+                    if e.get("name") == "frontier:split"
+                ),
                 None,
             )
         if split is not None:

@@ -316,3 +316,26 @@ def test_split_span_is_frontier_layer_and_timeline_shows_threshold():
     assert all(row.threshold is not None for row in report.supersteps)
     assert all(row.width is not None for row in report.supersteps)
     assert "threshold" in report.render() and "width" in report.render()
+
+
+def test_split_timeline_survives_trace_export(tmp_path):
+    # Plain splits are events on the superstep, refills are spans: both
+    # must come back from a Chrome trace and an event log.
+    from repro.observability.analysis import analyze_file
+    from repro.observability.export import write_chrome_trace, write_events_jsonl
+
+    g = grid_2d(12, 12, weighted=True, seed=4)
+    probe = Probe()
+    with probe:
+        sssp(g, 0)
+    chrome, events = tmp_path / "t.json", tmp_path / "t.jsonl"
+    write_chrome_trace(probe, str(chrome))
+    write_events_jsonl(probe, str(events))
+
+    def timeline(report):
+        return [(row.threshold, row.width) for row in report.supersteps]
+
+    live = timeline(analyze_probe(probe))
+    assert all(w is not None for _, w in live)
+    assert timeline(analyze_file(str(chrome))) == live
+    assert timeline(analyze_file(str(events))) == live
