@@ -82,9 +82,10 @@ class SSSPResult:
 
 
 #: Work-sized near-far width, in edges: a refill whose near set has
-#: fewer out-edges than this doubles the width for the next refill, one
-#: with more than ``4 *`` this halves it.  A superstep's fixed cost
-#: (~60 us) is the cost of ~2.7k edges at ~22 ns each on rmat-16.
+#: fewer out-edges than this doubles the width for the next refill; one
+#: with more than ``4 *`` this is re-split at half the width, down to
+#: Δ.  A superstep's fixed cost (~60 us) is the cost of ~2.7k edges at
+#: ~22 ns each on rmat-16.
 NEAR_WORK_EDGES = 2048
 
 #: Bounds of the work-sized width, in multiples of Δ.
@@ -109,10 +110,11 @@ class _NearFar:
     frontier; the rest are parked in the far pile.  When the near part
     comes back empty the threshold moves to ``min(dist[far]) + width``
     and the pile is re-split.  With ``degrees`` the width
-    (``state.context["width"]``) is sized by work: each refill's near
-    set out-degree sum picks the next refill's width in
-    ``[WIDTH_FLOOR, WIDTH_CAP] * delta`` (see :data:`NEAR_WORK_EDGES`);
-    without, it stays ``delta``.  At a superstep boundary the pile is
+    (``state.context["width"]``) is sized by work within
+    ``[WIDTH_FLOOR, WIDTH_CAP] * delta``: a refill's near set too heavy
+    for its width is re-split at half of it, and a light one doubles
+    the next refill's (see :data:`NEAR_WORK_EDGES`); without, it stays
+    ``delta``.  At a superstep boundary the pile is
     exactly ``{v : threshold <= dist[v] < INF}`` (a label at or above the
     threshold was parked when set and never expanded), so checkpoints
     carry only the threshold and width and a resumed run rebuilds the
@@ -129,15 +131,6 @@ class _NearFar:
         self._run: Optional[LoopState] = None  # the run the pile belongs to
         self._far: list = []  # parked id arrays; may repeat or be stale
 
-    def _next_width(self, width: float, near: np.ndarray) -> float:
-        """The width after a refill whose near set is ``near``."""
-        work = int(self.degrees.take(near).sum())
-        if work < NEAR_WORK_EDGES:
-            return min(width * 2, WIDTH_CAP * self.delta)
-        if work > 4 * NEAR_WORK_EDGES:
-            return max(width / 2, WIDTH_FLOOR * self.delta)
-        return width
-
     def _refill(self, far: list, threshold: float, width: float):
         """Re-split the far pile once the near part came back empty;
         returns the next ``(near, far, threshold, width)``."""
@@ -149,13 +142,25 @@ class _NearFar:
         if not pile.size:
             return pile, [], threshold, width
         low = float(labels.min())
-        # nextafter: a width below the label's ulp still promotes the
-        # minimum.
-        threshold = max(low + width, math.nextafter(low, math.inf))
-        is_near = labels < np.float64(threshold)
-        near = dedup_ids(pile.compress(is_near), dist.shape[0], self.workspace)
-        if self.degrees is not None:
-            width = self._next_width(width, near)
+        floor = WIDTH_FLOOR * self.delta
+        while True:
+            # nextafter: a width below the label's ulp still promotes the
+            # minimum.
+            threshold = max(low + width, math.nextafter(low, math.inf))
+            is_near = labels < np.float64(threshold)
+            near = dedup_ids(
+                pile.compress(is_near), dist.shape[0], self.workspace
+            )
+            if self.degrees is None:
+                break
+            work = int(self.degrees.take(near).sum())
+            if work <= 4 * NEAR_WORK_EDGES or width <= floor:
+                if work < NEAR_WORK_EDGES:
+                    width = min(width * 2, WIDTH_CAP * self.delta)
+                break
+            # Too heavy for a widened step: re-split at half the width,
+            # so edge-heavy refills run the schedule of width delta.
+            width = max(width / 2, floor)
         return near, [pile.compress(~is_near)], threshold, width
 
     def __call__(self, out: Frontier, state: LoopState) -> Frontier:
@@ -182,14 +187,11 @@ class _NearFar:
             far, near = far + [ids.compress(is_far)], ids.compress(~is_far)
         probe = active_probe()
         if near.size == 0 and far:
-            # The refill is the split's one heavy step and gets its own
-            # frontier-layer span; a plain split is an event on the
-            # superstep, so a traced superstep stays at two spans.
-            with probe.span("frontier:split") as span:
+            # The refill is the split's one heavy step: a frontier-layer
+            # span times it.
+            with probe.span("frontier:split"):
                 near, far, threshold, width = self._refill(far, threshold, width)
-                if probe.enabled:
-                    span.attrs.update(_split_attrs(near, far, threshold, width))
-        elif probe.enabled:
+        if probe.trace:
             probe.event(
                 "frontier:split", **_split_attrs(near, far, threshold, width)
             )
@@ -241,8 +243,9 @@ def sssp(
         Width Δ of the near/far threshold step.  ``None`` sizes the
         width by work: it starts at the mean edge weight Δ and moves
         within [Δ, 8Δ] so each refill's near set carries about
-        :data:`NEAR_WORK_EDGES` out-edges (Listing 4 verbatim when the
-        mean weight is zero).  An explicit value is a fixed width;
+        :data:`NEAR_WORK_EDGES` out-edges — wider on grids and roads,
+        Δ on edge-heavy refills (Listing 4 verbatim when the mean
+        weight is zero).  An explicit value is a fixed width;
         ``math.inf`` runs Listing 4 verbatim.  Changes the schedule,
         never the distances.
     resilience:

@@ -737,20 +737,15 @@ def analyze_spans(
         advance = next(
             (c for c in _walk(n) if c.name == "operator:advance"), None
         )
-        # The near/far split: a child span when it refilled from the far
-        # pile, else an event on the superstep.
+        # The near/far split is an event on the superstep.
         split = next(
-            (c.attrs for c in _walk(n) if c.name == "frontier:split"), None
+            (
+                e.get("attrs", {})
+                for e in n.events
+                if e.get("name") == "frontier:split"
+            ),
+            None,
         )
-        if split is None:
-            split = next(
-                (
-                    e.get("attrs", {})
-                    for e in n.events
-                    if e.get("name") == "frontier:split"
-                ),
-                None,
-            )
         if split is not None:
             row.threshold = split.get("threshold")
             row.width = split.get("width")

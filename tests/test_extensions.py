@@ -62,7 +62,8 @@ class TestNearFarSSSP:
         # Near-far trades supersteps for work: far vertices are no longer
         # re-relaxed every round, so fewer edges are touched — a gap that
         # widens with the diameter (2x on a 64x64 grid at Δ = the mean
-        # weight; the work-sized default spends some of it on supersteps).
+        # weight; the work-sized default spends some of it on fewer
+        # supersteps and touches ~0.66x).
         plain = sssp(weighted_grid, 0, delta=math.inf).stats
         nf = sssp(weighted_grid, 0).stats
         assert nf.total_edges_touched < plain.total_edges_touched
@@ -70,7 +71,8 @@ class TestNearFarSSSP:
         plain = sssp(g, 0, delta=math.inf).stats
         fixed = sssp(g, 0, delta=float(g.csr().values.mean())).stats
         assert 2 * fixed.total_edges_touched <= plain.total_edges_touched
-        assert sssp(g, 0).stats.total_edges_touched < plain.total_edges_touched
+        sized = sssp(g, 0).stats
+        assert 10 * sized.total_edges_touched <= 7 * plain.total_edges_touched
 
     def test_invalid_delta(self, weighted_grid):
         with pytest.raises(ValueError):

@@ -160,10 +160,31 @@ def test_default_width_cuts_grid_supersteps(k):
     assert sized.num_iterations <= 0.75 * fixed.num_iterations
 
 
+def test_refill_width_rule():
+    # Labels 1, 2.5 and 5 wait in the far pile; delta is 1.
+    module = importlib.import_module("repro.algorithms.sssp")
+    heavy = 4 * module.NEAR_WORK_EDGES + 1
+    dist = np.array([1.0, 2.5, 5.0], np.float32)
+    pile = [np.arange(3, dtype=VERTEX_DTYPE)]
+
+    def refill(degrees, width):
+        nf = module._NearFar(dist, 1.0, None, np.array(degrees, np.int64))
+        near, _, threshold, width = nf._refill(pile, 0.5, width)
+        return near.tolist(), threshold, width
+
+    # Light: the next width doubles, up to the cap.
+    assert refill([1, 1, 1], 1.0) == ([0], 2.0, 2.0)
+    assert refill([1, 1, 1], 8.0) == ([0, 1, 2], 9.0, 8.0)
+    # Heavy at 2 delta: re-split at delta, whose near set is light.
+    assert refill([1, heavy, 1], 2.0) == ([0], 2.0, 2.0)
+    # Heavy at delta: the floor holds.
+    assert refill([heavy, 1, 1], 1.0) == ([0], 2.0, 1.0)
+
+
 def test_default_width_keeps_the_rmat_schedule():
-    # R-MAT refills are edge-heavy, so the width stays at delta except
-    # in the light tail, where widening merges a refill or two: the
-    # edge visits do not move and the superstep count never grows.
+    # R-MAT refills are edge-heavy: one widened after a light refill is
+    # re-split at delta, so only light refills (the tail) can merge and
+    # the schedule stays that of delta=mean.
     g = rmat(14, 16, weighted=True, seed=0)
     delta = float(g.csr().values.mean())
     sources = np.random.default_rng(0).choice(
@@ -177,7 +198,7 @@ def test_default_width_keeps_the_rmat_schedule():
     edges = sum(r.total_edges_touched for r in sized) / sum(
         r.total_edges_touched for r in fixed
     )
-    assert 0.9 <= steps <= 1.03
+    assert abs(steps - 1) <= 0.03
     assert abs(edges - 1) <= 0.01
 
 
@@ -307,10 +328,18 @@ def test_split_span_is_frontier_layer_and_timeline_shows_threshold():
     probe = Probe()
     with probe:
         sssp(g, 0)
-    splits = [s for s in probe.tracer.spans() if s.name == "frontier:split"]
-    assert splits and layer_of("frontier:split") == "frontier"
-    assert {"near", "far", "threshold", "width"} <= set(splits[-1].attrs)
-    thresholds = [s.attrs["threshold"] for s in splits]
+    spans = probe.tracer.spans()
+    assert any(s.name == "frontier:split" for s in spans)
+    assert layer_of("frontier:split") == "frontier"
+    splits = [
+        e.attrs
+        for s in spans
+        if s.name == "superstep"
+        for e in s.events
+        if e.name == "frontier:split"
+    ]
+    assert {"near", "far", "threshold", "width"} <= set(splits[-1])
+    thresholds = [a["threshold"] for a in splits]
     assert thresholds == sorted(thresholds) and thresholds[-1] > thresholds[0]
     report = analyze_probe(probe)
     assert all(row.threshold is not None for row in report.supersteps)
@@ -319,8 +348,8 @@ def test_split_span_is_frontier_layer_and_timeline_shows_threshold():
 
 
 def test_split_timeline_survives_trace_export(tmp_path):
-    # Plain splits are events on the superstep, refills are spans: both
-    # must come back from a Chrome trace and an event log.
+    # Split events on the superstep must come back from a Chrome trace
+    # and an event log.
     from repro.observability.analysis import analyze_file
     from repro.observability.export import write_chrome_trace, write_events_jsonl
 
