@@ -4,7 +4,7 @@ DESIGN.md calls out the operator/frontier design choices SSSP can make
 without changing the algorithm's text: frontier dedup on/off, output
 representation, the near-far step Δ (``sssp`` runs Δ = mean weight by
 default, a quarter of it is a narrow near band, ``delta=inf`` is
-Listing 4 verbatim), and the asynchronous message-passing engine.  Each
+Listing 4 verbatim), and asynchronous message passing (``sssp_async``).  Each
 row is the same query on the
 same graphs; the shape tests at the bottom pin the relationships the
 ablation is expected to show.
@@ -15,8 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.algorithms.sssp import sssp
-from repro.comm.async_pregel import async_sssp_messages
+from repro.algorithms.sssp import sssp, sssp_async
 from repro.execution import par_vector
 
 
@@ -52,8 +51,8 @@ class TestGridAblation:
         assert r.stats.converged
 
     def test_async_messages(self, benchmark, bench_grid):
-        d, _ = benchmark(async_sssp_messages, bench_grid, 0, timeout=600)
-        assert d[0] == 0.0
+        r = benchmark(sssp_async, bench_grid, 0, timeout=600)
+        assert r.distances[0] == 0.0
 
 
 @pytest.mark.benchmark(group="ablation-sssp-rmat")
@@ -86,7 +85,7 @@ class TestAblationShapes:
             sssp(bench_grid, 0, output_representation="dense").distances,
             sssp(bench_grid, 0, delta=_narrow_delta(bench_grid)).distances,
             sssp(bench_grid, 0, delta=math.inf).distances,
-            async_sssp_messages(bench_grid, 0, timeout=600)[0],
+            sssp_async(bench_grid, 0, timeout=600).distances,
         ):
             assert np.allclose(base, dist, atol=1e-2)
 

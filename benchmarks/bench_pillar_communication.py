@@ -3,12 +3,13 @@
 §III-B: a frontier backed by shared memory exposes elements to everyone;
 backed by a queue, elements travel as messages.  Rows: SSSP through (a)
 shared-memory operators, (b) the Pregel engine at k ∈ {1, 2, 4, 8}
-ranks with random and METIS-like placement; plus the message-combiner
-ablation (fold at delivery vs raw inboxes).
+ranks with random and METIS-like placement.  Messages are always folded
+at the receiver by the program's ufunc merge, so there is no combiner
+arm to ablate.
 
 Shape expectations (EXPERIMENTS.md): answers identical everywhere;
 remote-message volume grows with k under random placement and drops
-2-5x under METIS-like; combiners shrink delivered messages on hubs.
+2-5x under METIS-like.
 """
 
 import numpy as np
@@ -16,7 +17,6 @@ import pytest
 
 from repro.algorithms.pregel_programs import SSSPProgram, pregel_sssp
 from repro.algorithms.sssp import sssp
-from repro.comm.messages import MinCombiner, collect_messages
 from repro.comm.pregel import PregelEngine
 from repro.partition import metis_like_partition, random_partition
 from repro.types import INF
@@ -44,24 +44,6 @@ class TestCommunicationModels:
         owner = random_partition(comm_graph, k, seed=k).assignment
         out = benchmark(pregel_sssp, comm_graph, 0, owner_of=owner)
         assert out[0] == 0.0
-
-
-@pytest.mark.benchmark(group="P2-combiner")
-class TestCombinerAblation:
-    def test_fold_with_combiner(self, benchmark):
-        rng = np.random.default_rng(0)
-        dsts = rng.integers(0, 1024, size=100_000).astype(np.int32)
-        vals = rng.random(100_000)
-        combiner = MinCombiner()
-        d, v = benchmark(combiner.combine_bulk, dsts, vals)
-        assert d.shape[0] <= 1024
-
-    def test_raw_inboxes_no_combiner(self, benchmark):
-        rng = np.random.default_rng(0)
-        dsts = rng.integers(0, 1024, size=100_000).astype(np.int32)
-        vals = rng.random(100_000)
-        inbox = benchmark(collect_messages, dsts, vals)
-        assert len(inbox) <= 1024
 
 
 class TestCommunicationShapes:

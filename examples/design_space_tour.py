@@ -58,7 +58,7 @@ def main() -> None:
     print(f"  async queue   : {queue.size()} queued messages")
     messaged = pregel_sssp(graph, 0)
     assert np.allclose(messaged[finite], reference[finite], atol=1e-3)
-    print("  pregel (message passing only) reproduces the SSSP answer")
+    print("  pregel (message passing, on the same loop) reproduces the SSSP answer")
 
     print()
     print("=" * 72)

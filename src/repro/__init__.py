@@ -9,15 +9,15 @@ essential components:
    adjacency list — one graph-centric API over all of them.
 2. **Frontiers** (:mod:`repro.frontier`): sparse vector, dense bitmap,
    asynchronous queue, edge frontier — one active-set interface.
-3. **Operators** (:mod:`repro.operators`): advance / filter / for-each /
-   reduce / uniquify / intersection, each overloaded on execution
+3. **Operators** (:mod:`repro.operators`): advance / filter / reduce /
+   uniquify / intersection, each overloaded on execution
    policies (:mod:`repro.execution`): ``seq``, ``par``, ``par_nosync``,
    ``par_vector``, ``par_proc``.
 4. **Iterative loops with convergence conditions** (:mod:`repro.loop`):
    BSP and asynchronous enactors.
 
-plus the communication substrate (:mod:`repro.comm` — mailbox routing,
-Pregel vertex programs), partitioning heuristics (:mod:`repro.partition`),
+plus message passing (:mod:`repro.comm` — Pregel vertex programs run on
+the same loop), partitioning heuristics (:mod:`repro.partition`),
 the algorithm suite (:mod:`repro.algorithms`), textbook baselines
 (:mod:`repro.baselines`), the executable Table I
 (:mod:`repro.capability`), and a fault-tolerance layer riding the loop
@@ -53,7 +53,6 @@ from repro.execution import seq, par, par_nosync, par_proc, par_vector
 from repro.operators import (
     neighbors_expand,
     filter_frontier,
-    for_each,
     reduce_values,
     uniquify,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "par_vector",
     "neighbors_expand",
     "filter_frontier",
-    "for_each",
     "reduce_values",
     "uniquify",
     "Enactor",

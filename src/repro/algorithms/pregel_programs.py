@@ -4,7 +4,8 @@ These run on :class:`~repro.comm.pregel.PregelEngine` — the
 message-passing, bulk-synchronous corner of the TLAV space — and are
 validated against the shared-memory implementations by the equivalence
 tests: same graph, same answers, different communication model, which is
-precisely the claim of §III-B.
+precisely the claim of §III-B.  Each is a vectorised (send, merge,
+apply) triple; see :class:`~repro.comm.pregel.VertexProgram`.
 """
 
 from __future__ import annotations
@@ -13,101 +14,100 @@ from typing import Optional
 
 import numpy as np
 
-from repro.comm.messages import MaxCombiner, MinCombiner, SumCombiner
 from repro.comm.pregel import PregelEngine, VertexProgram
 from repro.graph.graph import Graph
 from repro.types import INF
 
 
+def _take_better(values, inbox, active, better):
+    """Active vertices whose merged message is ``better`` than their value
+    adopt it; returns those vertices (the ones that changed)."""
+    won = active[better(inbox[active], values[active])]
+    values[won] = inbox[won]
+    return won
+
+
 class MaxValueProgram(VertexProgram):
     """The Pregel paper's introductory example: flood the maximum value."""
 
-    combiner = MaxCombiner()
+    merge = np.maximum
 
-    def compute(self, ctx) -> None:
-        old = ctx.value
-        if ctx.messages:
-            best = max(ctx.messages)
-            if best > ctx.value:
-                ctx.value = best
-        if ctx.superstep == 0 or ctx.value > old:
-            ctx.send_to_neighbors(ctx.value)
-        ctx.vote_to_halt()
+    def apply(self, superstep, values, inbox, has_msg, active, aggregated):
+        if superstep == 0:
+            return values, active, None
+        return values, _take_better(values, inbox, active, np.greater), None
 
 
 class SSSPProgram(VertexProgram):
     """Pregel SSSP: distances as values, relaxations as messages."""
 
-    combiner = MinCombiner()
+    merge = np.minimum
 
     def __init__(self, source: int) -> None:
         self.source = source
 
-    def compute(self, ctx) -> None:
-        if ctx.superstep == 0:
-            ctx.value = 0.0 if ctx.vertex == self.source else float(INF)
-        candidate = min(ctx.messages) if ctx.messages else float(INF)
-        improved = candidate < ctx.value
-        if improved:
-            ctx.value = candidate
-        if improved or (ctx.superstep == 0 and ctx.vertex == self.source):
-            neighbors, weights = ctx.out_edges()
-            for n, w in zip(neighbors, weights):
-                ctx.send(int(n), ctx.value + float(w))
-        ctx.vote_to_halt()
+    def send(self, values, src, dst, weight):
+        return values.take(src) + weight
+
+    def apply(self, superstep, values, inbox, has_msg, active, aggregated):
+        if superstep == 0:
+            values[active] = float(INF)
+            senders = active[active == self.source]
+            values[senders] = 0.0
+            return values, senders, None
+        return values, _take_better(values, inbox, active, np.less), None
 
 
 class PageRankProgram(VertexProgram):
     """Pregel PageRank with a fixed superstep budget (the Pregel paper's
     formulation: run a fixed number of rounds, then halt).
 
-    Dangling-vertex mass is pooled through the engine's sum-aggregator
-    (the Pregel paper's aggregator mechanism) and redistributed uniformly
-    next superstep, which makes the recurrence identical to the
-    shared-memory implementation — asserted by the equivalence tests.
+    Dangling-vertex mass is pooled through the aggregator (the Pregel
+    paper's mechanism) and redistributed uniformly next superstep, which
+    makes the recurrence identical to the shared-memory implementation —
+    asserted by the equivalence tests.
     """
 
-    combiner = SumCombiner()
+    merge = np.add
 
     def __init__(self, n_vertices: int, *, damping: float = 0.85, rounds: int = 30):
         self.n = n_vertices
         self.damping = damping
         self.rounds = rounds
 
-    def compute(self, ctx) -> None:
-        if ctx.superstep == 0:
-            ctx.value = 1.0 / self.n
+    def bind(self, graph):
+        self._degree = graph.out_degrees()
+        self._divisor = np.maximum(self._degree, 1)
+
+    def send(self, values, src, dst, weight):
+        return np.divide(values, self._divisor).take(src)
+
+    def apply(self, superstep, values, inbox, has_msg, active, aggregated):
+        if superstep == 0:
+            values[active] = 1.0 / self.n
         else:
-            incoming = sum(ctx.messages) if ctx.messages else 0.0
-            dangling_mass = ctx.aggregated("dangling") / self.n
-            ctx.value = (1.0 - self.damping) / self.n + self.damping * (
-                incoming + dangling_mass
+            dangling_mass = (aggregated or 0.0) / self.n
+            values[active] = (1.0 - self.damping) / self.n + self.damping * (
+                inbox[active] + dangling_mass
             )
-        if ctx.superstep < self.rounds:
-            degree = ctx.num_out_edges()
-            if degree:
-                ctx.send_to_neighbors(ctx.value / degree)
-            else:
-                ctx.aggregate("dangling", ctx.value)
-        else:
-            ctx.vote_to_halt()
+        if superstep >= self.rounds:
+            return values, None, None
+        return values, active, active
+
+    def aggregate(self, values, senders, stay_active):
+        return float(values[senders[self._degree[senders] == 0]].sum())
 
 
 class ComponentsProgram(VertexProgram):
     """Min-label flooding: converges to per-component minimum vertex id."""
 
-    combiner = MinCombiner()
+    merge = np.minimum
 
-    def compute(self, ctx) -> None:
-        if ctx.superstep == 0:
-            ctx.value = float(ctx.vertex)
-        candidate = min(ctx.messages) if ctx.messages else float("inf")
-        improved = candidate < ctx.value
-        if improved:
-            ctx.value = candidate
-        if ctx.superstep == 0 or improved:
-            ctx.send_to_neighbors(ctx.value)
-        ctx.vote_to_halt()
+    def apply(self, superstep, values, inbox, has_msg, active, aggregated):
+        if superstep == 0:
+            values[active] = active
+            return values, active, None
+        return values, _take_better(values, inbox, active, np.less), None
 
 
 def pregel_sssp(
@@ -115,10 +115,9 @@ def pregel_sssp(
     source: int,
     *,
     owner_of: Optional[np.ndarray] = None,
-    parallel_ranks: bool = False,
 ) -> np.ndarray:
     """Run Pregel SSSP; returns the distance vector."""
-    engine = PregelEngine(graph, owner_of=owner_of, parallel_ranks=parallel_ranks)
+    engine = PregelEngine(graph, owner_of=owner_of)
     return engine.run(SSSPProgram(source), np.full(graph.n_vertices, float(INF)))
 
 
@@ -128,10 +127,9 @@ def pregel_pagerank(
     damping: float = 0.85,
     rounds: int = 30,
     owner_of: Optional[np.ndarray] = None,
-    parallel_ranks: bool = False,
 ) -> np.ndarray:
     """Run Pregel PageRank for a fixed round budget; returns ranks."""
-    engine = PregelEngine(graph, owner_of=owner_of, parallel_ranks=parallel_ranks)
+    engine = PregelEngine(graph, owner_of=owner_of)
     n = graph.n_vertices
     return engine.run(
         PageRankProgram(n, damping=damping, rounds=rounds),
@@ -143,7 +141,6 @@ def pregel_components(
     graph: Graph,
     *,
     owner_of: Optional[np.ndarray] = None,
-    parallel_ranks: bool = False,
 ) -> np.ndarray:
     """Run min-label component flooding; returns integer labels.
 
@@ -151,7 +148,7 @@ def pregel_components(
     wanting weak components should symmetrize first (the equivalence
     tests do).
     """
-    engine = PregelEngine(graph, owner_of=owner_of, parallel_ranks=parallel_ranks)
+    engine = PregelEngine(graph, owner_of=owner_of)
     vals = engine.run(
         ComponentsProgram(),
         np.arange(graph.n_vertices, dtype=np.float64),

@@ -54,7 +54,6 @@ TABLE_I: List[PillarCapability] = [
             ("repro.frontier.sparse", "SparseFrontier"),
             ("repro.frontier.dense", "DenseFrontier"),
             ("repro.frontier.queue", "AsyncQueueFrontier"),
-            ("repro.comm.mailbox", "MailboxRouter"),
             ("repro.comm.pregel", "PregelEngine"),
         ),
     ),

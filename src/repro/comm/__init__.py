@@ -1,53 +1,20 @@
 """Communication models — the second TLAV pillar (§III-B).
 
 Shared memory needs no machinery here: graphs and per-vertex arrays live
-in process memory and every operator reads them directly.  This package
-supplies the **message-passing** alternative, simulated in-process per
-the DESIGN.md substitution table:
-
-* :class:`~repro.comm.channel.Channel` — a point-to-point FIFO between
-  ranks.
-* :mod:`~repro.comm.messages` — message combiners (min/sum/max), the
-  classic Pregel optimization that collapses messages addressed to one
-  vertex before delivery.
-* :class:`~repro.comm.mailbox.MailboxRouter` — k-rank vertex-addressed
-  routing with two delivery disciplines: ``"superstep"`` (messages sent
-  in superstep t are visible in t+1 — bulk-synchronous) and
-  ``"immediate"`` (visible as soon as sent — asynchronous), directly
-  realizing the paper's observation that communication and timing models
-  go hand in hand.
-* :class:`~repro.comm.pregel.PregelEngine` — "think like a vertex"
-  programs over the router: compute/send/vote-to-halt supersteps.
+in process memory and every operator reads them directly.  Message
+passing is the :class:`~repro.comm.pregel.PregelEngine`: a vectorised
+vertex program (send over out-edges, a ufunc merge at the receiver, a
+vertex join) run as the step function of the ordinary
+:class:`~repro.loop.enactor.Enactor`, so messages, supersteps,
+checkpoints and retry share one loop.  Asynchronous message passing is
+:func:`~repro.algorithms.sssp_async` on the
+:class:`~repro.loop.async_enactor.AsyncEnactor`; across OS processes it
+is the ``par_proc`` policy's owner-computes fold.
 """
 
-from repro.comm.channel import Channel
-from repro.comm.messages import (
-    Combiner,
-    MinCombiner,
-    MaxCombiner,
-    SumCombiner,
-    collect_messages,
-)
-from repro.comm.mailbox import MailboxRouter
-from repro.comm.pregel import PregelEngine, VertexProgram, VertexContext
-from repro.comm.async_pregel import (
-    AsyncFoldEngine,
-    async_sssp_messages,
-    async_components_messages,
-)
+from repro.comm.pregel import PregelEngine, VertexProgram
 
 __all__ = [
-    "AsyncFoldEngine",
-    "async_sssp_messages",
-    "async_components_messages",
-    "Channel",
-    "Combiner",
-    "MinCombiner",
-    "MaxCombiner",
-    "SumCombiner",
-    "collect_messages",
-    "MailboxRouter",
     "PregelEngine",
     "VertexProgram",
-    "VertexContext",
 ]

@@ -24,9 +24,9 @@ lives in the loop layer):
 * :data:`par_proc` — multiprocess sharded execution over shared memory:
   supersteps run as BSP rounds across persistent worker *processes*
   (escaping the GIL entirely), with the graph and per-round state in
-  ``multiprocessing.shared_memory`` and boundary updates merged through
-  the comm mailbox machinery.  Degrades to :data:`par_vector` wherever a
-  round cannot be sharded.
+  ``multiprocessing.shared_memory``; each worker folds the updates aimed
+  at the destination range it owns.  Degrades to :data:`par_vector`
+  wherever a round cannot be sharded.
 """
 
 from repro.execution.policy import (

@@ -3,11 +3,11 @@
 The paper's iterative loop structure (essential component 4) is defined
 by what happens at superstep boundaries; this subsystem makes those
 boundaries *visible*.  Every layer — enactors, the execution layer, the
-mailbox/Pregel communication layer, the operators, and the resilience
+Pregel communication layer, the operators, and the resilience
 layer — reports through one ambient :class:`Probe`:
 
 * :class:`Tracer` — nested spans (``superstep``, ``operator:advance``,
-  ``scheduler:task``, ``mailbox:deliver``, ``checkpoint:save``, ...)
+  ``scheduler:task``, ``pregel:send``, ``checkpoint:save``, ...)
   with structured attributes (frontier size, edges expanded, worker id)
   and thread-safe bounded buffering;
 * :class:`MetricsRegistry` — named counters/gauges/histograms unifying

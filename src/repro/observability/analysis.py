@@ -54,7 +54,6 @@ LAYER_OF_PREFIX: Dict[str, str] = {
     "async": "loop",
     "scheduler": "loop",
     "pool": "loop",
-    "mailbox": "comm",
     "pregel": "comm",
     "proc": "comm",
     "checkpoint": "resilience",

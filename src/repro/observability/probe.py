@@ -1,7 +1,7 @@
 """The :class:`Probe` — the single instrumentation handle, null by default.
 
 Every instrumented seam (enactors, schedulers, the thread pool, the
-mailbox router, operators, the resilience layer) asks
+Pregel step, operators, the resilience layer) asks
 :func:`active_probe` for the current probe and reports through it.
 Outside any profiling context that returns the process-wide
 :data:`NULL_PROBE`, whose every method is a no-op returning shared

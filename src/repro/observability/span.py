@@ -23,8 +23,7 @@ span name              essential component
 ``operator:reduce``    5 — convergence conditions
 ``scheduler:task``     4 — loop structure, asynchronous timing
 ``pool:task``          3/4 — BSP parallel region
-``mailbox:send``       2 — frontier communication (messages)
-``mailbox:deliver``    2 — frontier communication (messages)
+``pregel:send``        2 — frontier communication (messages)
 ``checkpoint:save``    resilience riding component 4
 ===================== =============================================
 """

@@ -11,7 +11,6 @@ assert directly.
   (frontier expansion), push or pull (Listing 3).
 * :func:`~repro.operators.filter.filter_frontier` — frontier contraction
   by per-vertex predicate.
-* :func:`~repro.operators.foreach.for_each` — per-element compute.
 * :mod:`~repro.operators.reduce` — reductions over per-vertex values.
 * :func:`~repro.operators.uniquify.uniquify` — duplicate removal.
 * :func:`~repro.operators.intersection.segmented_intersection_counts` —
@@ -23,7 +22,6 @@ assert directly.
 
 from repro.operators.advance import neighbors_expand
 from repro.operators.filter import filter_frontier
-from repro.operators.foreach import for_each
 from repro.operators.reduce import reduce_values, argreduce
 from repro.operators.uniquify import uniquify
 from repro.operators.intersection import segmented_intersection_counts
@@ -33,7 +31,6 @@ from repro.operators.conditions import bulk_condition, scalar_condition
 __all__ = [
     "neighbors_expand",
     "filter_frontier",
-    "for_each",
     "reduce_values",
     "argreduce",
     "uniquify",

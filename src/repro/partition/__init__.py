@@ -12,7 +12,7 @@ heuristics (LDG, Fennel) as an extension.  Table I's "ignored" models
 A partition is just a vertex->part assignment array; the
 :class:`~repro.partition.base.PartitionAssignment` wrapper adds the
 quality metrics (edge cut, balance) the partitioning bench reports, and
-plugs directly into the mailbox router / Pregel engine as ``owner_of``.
+plugs directly into the Pregel engine as ``owner_of``.
 """
 
 from repro.partition.base import PartitionAssignment

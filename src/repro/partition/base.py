@@ -14,9 +14,9 @@ from repro.types import VERTEX_DTYPE
 class PartitionAssignment:
     """A vertex -> part mapping with cached quality metrics.
 
-    Use as ``owner_of`` for :class:`~repro.comm.mailbox.MailboxRouter`
-    and :class:`~repro.comm.pregel.PregelEngine` to simulate running the
-    graph distributed across ``n_parts`` machines.
+    Use as ``owner_of`` for :class:`~repro.comm.pregel.PregelEngine` to
+    count the remote traffic of running the graph distributed across
+    ``n_parts`` machines.
     """
 
     def __init__(self, assignment: np.ndarray, n_parts: int) -> None:

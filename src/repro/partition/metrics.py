@@ -31,7 +31,8 @@ def load_balance(partition: PartitionAssignment) -> float:
 def communication_volume(graph: Graph, partition: PartitionAssignment) -> int:
     """Total communication volume: for each vertex, the number of
     *distinct remote parts* among its neighbors — the messages a
-    superstep must actually send when combiners collapse duplicates."""
+    superstep must actually send when messages to one vertex are merged
+    at the sender."""
     coo = graph.coo()
     parts = partition.assignment
     src_part = parts[coo.rows]

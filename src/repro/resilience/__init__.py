@@ -9,8 +9,9 @@ any of it.  Four cooperating pieces:
 
 * :mod:`~repro.resilience.chaos` — :class:`FaultInjector`, a
   deterministic seed-driven fault source (task raises, worker death,
-  message drop/duplicate/delay, transient I/O errors) installable as a
-  context manager so any test or benchmark runs under chaos;
+  message drop/duplicate/delay on a Pregel step's message arrays,
+  transient I/O errors) installable as a context manager so any test or
+  benchmark runs under chaos;
 * :mod:`~repro.resilience.retry` — :class:`RetryPolicy`, exponential
   backoff + jitter + deadline re-execution, sound under the documented
   monotone-task contract;
@@ -24,7 +25,8 @@ any of it.  Four cooperating pieces:
   enactor, scheduler, and retry scope.
 
 A :class:`ResiliencePolicy` bundles them; every enactor, the async
-scheduler, and the Pregel engine accept one via ``resilience=``.
+scheduler, and the Pregel engine (whose supersteps are an enactor's)
+accept one via ``resilience=``.
 """
 
 from repro.resilience.chaos import (

@@ -11,19 +11,19 @@ Fault kinds cover the seams the paper's essential components expose:
 * ``task``              — raise :class:`~repro.errors.FaultInjected` at a
   task/superstep boundary (enactors, async scheduler);
 * ``worker_death``      — a scheduler worker thread silently dies;
-* ``message_drop``      — a routed message is lost in flight;
-* ``message_duplicate`` — a routed message is delivered twice;
-* ``message_delay``     — a superstep-delivery message slips one barrier;
+* ``message_drop``      — a sent message is lost in flight;
+* ``message_duplicate`` — a sent message is delivered twice;
+* ``message_delay``     — a Pregel message slips one superstep barrier;
 * ``io``                — a transient graph-file read error.
 
 Faults are injected *at operation boundaries* (before a task runs, as a
-message batch is routed), never mid-mutation — re-execution is therefore
+superstep's messages are sent), never mid-mutation — re-execution is therefore
 safe exactly when the documented monotone-task contract holds, which is
 what lets :mod:`repro.resilience.retry` recover to bit-identical results.
 
 Installing an injector as a context manager makes it *ambient*: every
-instrumented seam (enactors, the async scheduler, the mailbox router,
-graph I/O readers) consults :func:`active_injector`, so any existing test
+instrumented seam (enactors, the async scheduler, the Pregel step's
+message arrays, graph I/O readers) consults :func:`active_injector`, so any existing test
 or benchmark runs under chaos by wrapping it in ``with injector:``.
 """
 
@@ -221,11 +221,11 @@ class FaultInjector:
     def split_messages(
         self, destinations: np.ndarray, values: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-        """Apply drop/duplicate faults to a routed message batch.
+        """Apply drop/duplicate faults to a batch of sent messages.
 
         Returns ``(kept_dsts, kept_vals, dropped_dsts, dropped_vals,
         n_duplicated)``.  Kept messages include the extra copies of
-        duplicated ones (at-least-once semantics downstream combiners
+        duplicated ones (at-least-once semantics downstream merges
         must tolerate); the dropped subset is returned so a retrying
         sender can re-offer it.
         """

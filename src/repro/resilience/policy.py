@@ -22,7 +22,7 @@ from repro.utils.counters import ResilienceCounters
 
 @dataclass
 class ResiliencePolicy:
-    """What an enactor/scheduler/router does about failure.
+    """What an enactor/scheduler/Pregel run does about failure.
 
     Attributes
     ----------

@@ -88,7 +88,7 @@ def test_layer_of_maps_span_vocabulary():
     assert layer_of("operator:advance") == "operator"
     assert layer_of("superstep") == "loop"
     assert layer_of("scheduler:task") == "loop"
-    assert layer_of("mailbox:deliver") == "comm"
+    assert layer_of("pregel:send") == "comm"
     assert layer_of("proc:round") == "comm"
     assert layer_of("proc:task") == "operator"
     assert layer_of("checkpoint:save") == "resilience"

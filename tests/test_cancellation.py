@@ -32,6 +32,7 @@ from repro.errors import (
 from repro.execution.scheduler import AsyncScheduler
 from repro.execution.stealing import WorkStealingScheduler
 from repro.graph.generators import grid_2d, with_random_weights
+from repro.observability import Probe
 from repro.resilience import (
     CancelToken,
     Deadline,
@@ -194,14 +195,16 @@ class TestEnactorCancellation:
         assert settle_threads(baseline) <= baseline
 
     def test_pregel_deadline(self, grid):
-        class Noop(VertexProgram):
-            def compute(self, ctx):
-                ctx.vote_to_halt()
+        class Slow(VertexProgram):
+            def apply(self, superstep, values, inbox, has_msg, active, aggregated):
+                time.sleep(0.05)  # outlive the deadline inside superstep 0
+                return values, active, active
 
-        engine = PregelEngine(grid)
-        with expired_token():
-            with pytest.raises(DeadlineExceeded, match="pregel:superstep"):
-                engine.run(Noop(), np.zeros(grid.n_vertices))
+        probe = Probe()
+        with probe, CancelToken.after(0.02):
+            with pytest.raises(DeadlineExceeded, match="superstep:"):
+                PregelEngine(grid).run(Slow(), np.zeros(grid.n_vertices))
+        assert any(s.name == "superstep" for s in probe.tracer.spans())
 
 
 class TestSchedulerCancellation:

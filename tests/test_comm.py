@@ -1,200 +1,38 @@
-"""Tests for the message-passing substrate: channels, combiners,
-mailboxes, and the Pregel engine."""
-
-import threading
+"""Tests for message passing: the Pregel engine on the enactor loop."""
 
 import numpy as np
 import pytest
 
+from repro.comm import PregelEngine, VertexProgram
 from repro.errors import CommunicationError, ConvergenceError
-from repro.comm import (
-    Channel,
-    MailboxRouter,
-    MaxCombiner,
-    MinCombiner,
-    PregelEngine,
-    SumCombiner,
-    VertexProgram,
-    collect_messages,
-)
+from repro.graph import from_edge_list
 from repro.graph.generators import chain, grid_2d
 
 
-class TestChannel:
-    def test_fifo(self):
-        ch = Channel("test")
-        ch.send(1)
-        ch.send_many([2, 3])
-        assert [ch.recv(timeout=0.1) for _ in range(3)] == [1, 2, 3]
-
-    def test_recv_timeout_none_result(self):
-        assert Channel().recv(timeout=0.01) is None
-
-    def test_closed_send_rejected(self):
-        ch = Channel("c")
-        ch.close()
-        with pytest.raises(CommunicationError):
-            ch.send(1)
-        with pytest.raises(CommunicationError):
-            ch.send_many([1])
-
-    def test_close_drains_then_none(self):
-        ch = Channel()
-        ch.send(7)
-        ch.close()
-        assert ch.recv() == 7
-        assert ch.recv() is None
-
-    def test_close_wakes_blocked_receiver(self):
-        ch = Channel()
-        got = []
-
-        def consumer():
-            got.append(ch.recv(timeout=5))
-
-        t = threading.Thread(target=consumer)
-        t.start()
-        ch.close()
-        t.join()
-        assert got == [None]
-
-    def test_drain_and_len(self):
-        ch = Channel()
-        ch.send_many([1, 2, 3])
-        assert len(ch) == 3
-        assert ch.drain() == [1, 2, 3]
-        assert len(ch) == 0
-
-
-class TestCombiners:
-    @pytest.mark.parametrize(
-        "combiner,expected",
-        [
-            (MinCombiner(), [1.0, 5.0]),
-            (MaxCombiner(), [3.0, 5.0]),
-            (SumCombiner(), [4.0, 5.0]),
-        ],
-    )
-    def test_combine_bulk(self, combiner, expected):
-        dsts = np.array([0, 0, 2])
-        vals = np.array([3.0, 1.0, 5.0])
-        out_d, out_v = combiner.combine_bulk(dsts, vals)
-        assert out_d.tolist() == [0, 2]
-        assert out_v.tolist() == expected
-
-    def test_scalar_fold(self):
-        assert MinCombiner().combine(2.0, 3.0) == 2.0
-        assert MaxCombiner().combine(2.0, 3.0) == 3.0
-        assert SumCombiner().combine(2.0, 3.0) == 5.0
-
-    def test_empty_bulk(self):
-        d, v = SumCombiner().combine_bulk(np.empty(0, int), np.empty(0))
-        assert d.size == 0 and v.size == 0
-
-    def test_default_combine_bulk_fallback(self):
-        """The base-class sort+fold path must agree with the ufunc path."""
-        from repro.comm.messages import Combiner
-
-        class ProductCombiner(Combiner):
-            identity = 1.0
-
-            def combine(self, a, b):
-                return a * b
-
-        d, v = ProductCombiner().combine_bulk(
-            np.array([1, 0, 1]), np.array([2.0, 3.0, 4.0])
-        )
-        assert d.tolist() == [0, 1]
-        assert v.tolist() == [3.0, 8.0]
-
-    def test_collect_messages(self):
-        inbox = collect_messages(np.array([1, 1, 2]), np.array([4.0, 5.0, 6.0]))
-        assert inbox == {1: [4.0, 5.0], 2: [6.0]}
-
-
-class TestMailboxRouter:
-    def test_superstep_delivery_is_barriered(self):
-        owner = np.zeros(4, dtype=int)
-        router = MailboxRouter(owner, 1, delivery="superstep")
-        router.send(np.array([1]), np.array([9.0]))
-        d, v = router.receive(0)
-        assert d.size == 0  # not yet flushed
-        router.flush_barrier()
-        d, v = router.receive(0)
-        assert d.tolist() == [1] and v.tolist() == [9.0]
-
-    def test_immediate_delivery(self):
-        router = MailboxRouter(np.zeros(4, dtype=int), 1, delivery="immediate")
-        router.send(np.array([1]), np.array([9.0]))
-        d, _ = router.receive(0)
-        assert d.tolist() == [1]
-
-    def test_routing_to_owner(self):
-        owner = np.array([0, 1, 0, 1])
-        router = MailboxRouter(owner, 2)
-        router.send(np.array([0, 1, 2, 3]), np.arange(4.0))
-        router.flush_barrier()
-        d0, _ = router.receive(0)
-        d1, _ = router.receive(1)
-        assert sorted(d0.tolist()) == [0, 2]
-        assert sorted(d1.tolist()) == [1, 3]
-
-    def test_combiner_at_delivery(self):
-        router = MailboxRouter(np.zeros(3, dtype=int), 1)
-        router.send(np.array([1, 1]), np.array([5.0, 2.0]))
-        router.flush_barrier()
-        d, v = router.receive(0, MinCombiner())
-        assert d.tolist() == [1] and v.tolist() == [2.0]
-
-    def test_traffic_accounting(self):
-        owner = np.array([0, 1])
-        router = MailboxRouter(owner, 2)
-        router.send(np.array([0, 1]), np.zeros(2), from_rank=0)
-        assert router.remote_messages == 1
-        assert router.local_messages == 1
-
-    def test_invalid_destination_rejected(self):
-        router = MailboxRouter(np.zeros(2, dtype=int), 1)
-        with pytest.raises(CommunicationError):
-            router.send(np.array([5]), np.array([1.0]))
-
-    def test_mismatched_lengths_rejected(self):
-        router = MailboxRouter(np.zeros(2, dtype=int), 1)
-        with pytest.raises(CommunicationError):
-            router.send(np.array([0, 1]), np.array([1.0]))
-
-    def test_invalid_rank_rejected(self):
-        router = MailboxRouter(np.zeros(2, dtype=int), 1)
-        with pytest.raises(CommunicationError):
-            router.receive(3)
-
-    def test_has_messages(self):
-        router = MailboxRouter(np.zeros(2, dtype=int), 1)
-        assert not router.has_messages()
-        router.send(np.array([0]), np.array([1.0]))
-        assert router.has_messages()  # pending counts
-
-    def test_vertices_of_rank(self):
-        router = MailboxRouter(np.array([0, 1, 0]), 2)
-        assert router.vertices_of_rank(0).tolist() == [0, 2]
-
-    def test_bad_delivery_rejected(self):
-        with pytest.raises(CommunicationError):
-            MailboxRouter(np.zeros(2, dtype=int), 1, delivery="eventually")
-
-
 class _MaxValue(VertexProgram):
-    combiner = MaxCombiner()
+    merge = np.maximum
 
-    def compute(self, ctx):
-        old = ctx.value
-        if ctx.messages:
-            best = max(ctx.messages)
-            if best > ctx.value:
-                ctx.value = best
-        if ctx.superstep == 0 or ctx.value > old:
-            ctx.send_to_neighbors(ctx.value)
-        ctx.vote_to_halt()
+    def apply(self, superstep, values, inbox, has_msg, active, aggregated):
+        if superstep == 0:
+            return values, active, None
+        won = active[inbox[active] > values[active]]
+        values[won] = inbox[won]
+        return values, won, None
+
+
+class _Recorder(VertexProgram):
+    """Logs what each superstep's ``apply`` sees; superstep 0 sends."""
+
+    def __init__(self, merge=np.minimum):
+        self.merge = merge
+        self.seen = []
+
+    def apply(self, superstep, values, inbox, has_msg, active, aggregated):
+        got = np.flatnonzero(has_msg)
+        self.seen.append(
+            (superstep, active.tolist(), got.tolist(), inbox[got].tolist())
+        )
+        return values, (active if superstep == 0 else None), None
 
 
 class TestPregelEngine:
@@ -215,17 +53,6 @@ class TestPregelEngine:
         )
         assert np.array_equal(single, multi)
 
-    def test_parallel_ranks_match(self):
-        g = grid_2d(4, 4)
-        owner = np.arange(16) % 3
-        serial = PregelEngine(g, owner_of=owner).run(
-            _MaxValue(), np.arange(16.0)
-        )
-        parallel = PregelEngine(g, owner_of=owner, parallel_ranks=True).run(
-            _MaxValue(), np.arange(16.0)
-        )
-        assert np.array_equal(serial, parallel)
-
     def test_remote_traffic_counted_for_partitions(self):
         g = chain(8)
         owner = (np.arange(8) >= 4).astype(int)  # two halves
@@ -233,11 +60,24 @@ class TestPregelEngine:
         engine.run(_MaxValue(), np.arange(8, dtype=float))
         assert engine.stats.remote_messages > 0
         assert engine.stats.local_messages > engine.stats.remote_messages
+        assert (
+            engine.stats.local_messages + engine.stats.remote_messages
+            == engine.stats.total_messages
+        )
+
+    def test_remote_means_owners_differ(self):
+        # 0 -> 1 crosses ranks, 0 -> 2 does not.
+        g = from_edge_list([(0, 1), (0, 2)], n_vertices=3, directed=True)
+        engine = PregelEngine(g, owner_of=np.array([0, 1, 0]))
+        engine.run(_Recorder(), np.zeros(3), initially_active=[0])
+        assert engine.stats.total_messages == 2
+        assert engine.stats.remote_messages == 1
+        assert engine.stats.local_messages == 1
 
     def test_vote_to_halt_terminates_immediately_when_silent(self):
         class HaltNow(VertexProgram):
-            def compute(self, ctx):
-                ctx.vote_to_halt()
+            def apply(self, superstep, values, inbox, has_msg, active, aggregated):
+                return values, None, None
 
         g = chain(4)
         engine = PregelEngine(g)
@@ -246,8 +86,8 @@ class TestPregelEngine:
 
     def test_nonterminating_program_raises(self):
         class Chatty(VertexProgram):
-            def compute(self, ctx):
-                ctx.send_to_neighbors(0.0)  # never halts
+            def apply(self, superstep, values, inbox, has_msg, active, aggregated):
+                return values, active, active  # never halts
 
         g = chain(4)
         engine = PregelEngine(g, max_supersteps=5)
@@ -255,104 +95,87 @@ class TestPregelEngine:
             engine.run(Chatty(), np.zeros(4))
 
     def test_initially_active_restricts_superstep0(self):
-        class Recorder(VertexProgram):
-            def __init__(self):
-                self.seen = []
-
-            def compute(self, ctx):
-                self.seen.append((ctx.superstep, ctx.vertex))
-                ctx.vote_to_halt()
-
         g = chain(4)
-        prog = Recorder()
+        prog = _Recorder()
         PregelEngine(g).run(prog, np.zeros(4), initially_active=[2])
-        assert prog.seen == [(0, 2)]
+        assert prog.seen[0][:2] == (0, [2])
+
+    def test_superstep_delivery_is_barriered(self):
+        g = chain(3)
+        prog = _Recorder()
+        PregelEngine(g).run(prog, np.array([5.0, 6.0, 7.0]), initially_active=[1])
+        # Sent in superstep 0, seen (and only seen) in superstep 1.
+        assert prog.seen == [(0, [1], [], []), (1, [0, 2], [0, 2], [6.0, 6.0])]
+
+    @pytest.mark.parametrize(
+        "merge,expected", [(np.minimum, 1.0), (np.maximum, 3.0), (np.add, 4.0)]
+    )
+    def test_merge_folds_at_receiver(self, merge, expected):
+        g = from_edge_list([(0, 2), (1, 2)], n_vertices=3, directed=True)
+        prog = _Recorder(merge)
+        PregelEngine(g).run(prog, np.array([1.0, 3.0, 0.0]), initially_active=[0, 1])
+        assert prog.seen[1] == (1, [2], [2], [expected])
 
     def test_bad_shapes_rejected(self):
         g = chain(4)
         with pytest.raises(CommunicationError):
             PregelEngine(g, owner_of=np.zeros(2, dtype=int))
         with pytest.raises(CommunicationError):
+            PregelEngine(g, owner_of=np.array([0, 1, -1, 0]))
+        with pytest.raises(CommunicationError):
             PregelEngine(g).run(_MaxValue(), np.zeros(2))
+        with pytest.raises(CommunicationError):
+            PregelEngine(g).run(_MaxValue(), np.zeros((4, 2)))
 
-    def test_context_out_edges(self):
-        g = chain(3, directed=True, weighted=True)
-
-        class Probe(VertexProgram):
-            def __init__(self):
-                self.edges = {}
-
-            def compute(self, ctx):
-                nbrs, wts = ctx.out_edges()
-                self.edges[ctx.vertex] = (nbrs.tolist(), wts.tolist())
-                ctx.vote_to_halt()
-
-        prog = Probe()
-        PregelEngine(g).run(prog, np.zeros(3))
-        assert prog.edges[0] == ([1], [1.0])
-        assert prog.edges[1] == ([2], [2.0])
-        assert prog.edges[2] == ([], [])
+    def test_unknown_merge_rejected(self):
+        with pytest.raises(CommunicationError):
+            PregelEngine(chain(3)).run(_Recorder(np.multiply), np.zeros(3))
 
 
 class TestAggregators:
-    """The Pregel paper's aggregator mechanism: global sums folded per
-    superstep, visible to every vertex the next superstep."""
+    """The Pregel paper's aggregator mechanism: a global reduce over one
+    superstep's ``apply`` outputs, visible the next superstep."""
+
+    class _Sum(VertexProgram):
+        def __init__(self):
+            self.observed = []
+
+        def apply(self, superstep, values, inbox, has_msg, active, aggregated):
+            if superstep == 1:
+                self.observed.append(aggregated)
+            # Superstep 0 keeps everyone active one more round.
+            stay = active if superstep == 0 else None
+            return values, None, stay
+
+        def aggregate(self, values, senders, stay_active):
+            return float(values[stay_active].sum())
 
     def test_sum_visible_next_superstep(self):
-        from repro.comm import VertexProgram
-
-        observed = []
-
-        class Agg(VertexProgram):
-            def compute(self, ctx):
-                if ctx.superstep == 0:
-                    ctx.aggregate("mass", float(ctx.vertex))
-                    ctx.send(ctx.vertex, 0.0)  # keep self alive one round
-                elif ctx.superstep == 1:
-                    observed.append(ctx.aggregated("mass"))
-                ctx.vote_to_halt()
-
-        g = chain(4)
-        PregelEngine(g).run(Agg(), np.zeros(4))
-        assert observed == [0.0 + 1 + 2 + 3] * 4
+        prog = self._Sum()
+        PregelEngine(chain(4)).run(prog, np.arange(4.0))
+        assert prog.observed == [0.0 + 1 + 2 + 3]
 
     def test_default_when_absent(self):
-        from repro.comm import VertexProgram
-
         seen = []
 
         class NoAgg(VertexProgram):
-            def compute(self, ctx):
-                seen.append(ctx.aggregated("missing", default=-1.0))
-                ctx.vote_to_halt()
+            def apply(self, superstep, values, inbox, has_msg, active, aggregated):
+                seen.append(aggregated)
+                return values, None, (active if superstep == 0 else None)
 
         PregelEngine(chain(3)).run(NoAgg(), np.zeros(3))
-        assert seen == [-1.0, -1.0, -1.0]
+        assert seen == [None, None]
 
     def test_aggregator_folds_across_ranks(self):
-        from repro.comm import VertexProgram
-
-        observed = []
-
-        class Agg(VertexProgram):
-            def compute(self, ctx):
-                if ctx.superstep == 0:
-                    ctx.aggregate("count", 1.0)
-                    ctx.send(ctx.vertex, 0.0)
-                elif ctx.superstep == 1:
-                    observed.append(ctx.aggregated("count"))
-                ctx.vote_to_halt()
-
-        g = chain(6)
+        prog = self._Sum()
         owner = np.arange(6) % 3
-        PregelEngine(g, owner_of=owner).run(Agg(), np.zeros(6))
-        assert observed == [6.0] * 6
+        PregelEngine(chain(6), owner_of=owner).run(prog, np.ones(6))
+        assert prog.observed == [6.0]
 
     def test_dangling_pagerank_mass_conserved(self):
         """The motivating use: with aggregator redistribution, Pregel
         PageRank sums to 1 even with dangling vertices."""
         from repro.algorithms.pregel_programs import pregel_pagerank
-        from repro.graph import from_edge_list
 
         g = from_edge_list([(0, 1), (0, 2), (3, 0)], n_vertices=4)
         out = pregel_pagerank(g, rounds=40)

@@ -1,5 +1,5 @@
 """Tests for the extension features: near-far SSSP schedule, PPR (power + push),
-SpGEMM, random walks, async message-passing engines.
+SpGEMM, random walks, asynchronous message-passing SSSP.
 
 These cover the paper's "look ahead" direction — more of TLAV's design
 space under the same abstraction — and the extra algorithms of the
@@ -18,16 +18,12 @@ from repro.algorithms import (
     random_walks,
     spgemm,
     sssp,
+    sssp_async,
     visit_frequencies,
 )
 from repro.algorithms.random_walk import INVALID
-from repro.baselines import dijkstra, union_find_components
-from repro.comm import (
-    AsyncFoldEngine,
-    async_components_messages,
-    async_sssp_messages,
-)
-from repro.errors import CommunicationError, GraphFormatError
+from repro.baselines import dijkstra
+from repro.errors import GraphFormatError
 from repro.graph import from_edge_list
 from repro.graph.generators import chain, grid_2d, rmat, star, watts_strogatz
 from repro.types import INF
@@ -217,45 +213,8 @@ class TestRandomWalks:
 class TestAsyncMessageEngines:
     def test_async_sssp_matches_bsp(self, weighted_grid):
         bsp = sssp(weighted_grid, 0).distances
-        messaged, tasks = async_sssp_messages(weighted_grid, 0, timeout=120)
-        assert np.allclose(bsp, messaged, atol=1e-3)
+        result = sssp_async(weighted_grid, 0, timeout=120)
+        assert np.allclose(bsp, result.distances, atol=1e-3)
+        # The async run records its tasks processed as one pseudo-iteration.
+        tasks = result.stats.iterations[0].frontier_size
         assert tasks >= np.count_nonzero(bsp < INF) - 1
-
-    def test_async_components_match_union_find(self, small_ws):
-        labels = async_components_messages(small_ws, timeout=120)
-        assert np.array_equal(labels, union_find_components(small_ws))
-
-    def test_max_fold(self):
-        g = chain(6)
-        engine = AsyncFoldEngine(
-            g,
-            fold="max",
-            emit=lambda v, val, u, w: val,
-            timeout=60,
-        )
-        out = engine.run(np.arange(6, dtype=np.float64), range(6))
-        assert np.all(out == 5.0)
-
-    def test_bad_fold_rejected(self, small_grid):
-        with pytest.raises(CommunicationError):
-            AsyncFoldEngine(small_grid, fold="sum", emit=lambda *a: None)
-
-    def test_bad_values_shape_rejected(self, small_grid):
-        engine = AsyncFoldEngine(
-            small_grid, fold="min", emit=lambda *a: None, timeout=30
-        )
-        with pytest.raises(CommunicationError):
-            engine.run(np.zeros(2), [0])
-
-    def test_emit_none_sends_nothing(self, small_grid):
-        engine = AsyncFoldEngine(
-            small_grid, fold="min", emit=lambda *a: None, timeout=30
-        )
-        out = engine.run(
-            np.arange(small_grid.n_vertices, dtype=np.float64), [0]
-        )
-        # Nothing ever sent: values unchanged, only the seed processed.
-        assert np.array_equal(
-            out, np.arange(small_grid.n_vertices, dtype=np.float64)
-        )
-        assert engine.tasks_processed == 1

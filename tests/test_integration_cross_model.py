@@ -90,14 +90,6 @@ class TestPartitioningAxis:
             runs[name] = engine.stats.remote_messages
         assert runs["metis"] < runs["random"]
 
-    def test_parallel_ranks_match_serial(self, road_like):
-        owner = random_partition(road_like, 4, seed=2).assignment
-        serial = pregel_sssp(road_like, 0, owner_of=owner)
-        parallel = pregel_sssp(
-            road_like, 0, owner_of=owner, parallel_ranks=True
-        )
-        assert np.allclose(serial, parallel, atol=1e-9)
-
 
 class TestDirectionAxis:
     """Push, pull, and direction-optimized traversal — same levels."""

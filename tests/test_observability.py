@@ -302,12 +302,19 @@ def test_pregel_run_reports_superstep_spans_and_counters(grid):
     with probe:
         pregel_pagerank(grid)
     spans = probe.tracer.spans()
-    assert any(s.name == "superstep" for s in spans)
-    assert any(s.name == "pregel:rank" for s in spans)
-    assert any(s.name == "mailbox:deliver" for s in spans)
+    supersteps = [s for s in spans if s.name == "superstep"]
+    sends = [s for s in spans if s.name == "pregel:send"]
+    assert supersteps
+    # One send per superstep, nested inside it.
+    assert len(sends) == len(supersteps)
+    by_id = {s.span_id: s for s in spans}
+    assert all(by_id[s.parent_id].name == "superstep" for s in sends)
     counters = probe.metrics.counters_dict()
-    assert counters["pregel.supersteps"] > 0
-    assert counters["comm.messages_sent"] > 0
+    assert counters["pregel.supersteps"] == len(supersteps)
+    assert counters["pregel.total_messages"] > 0
+    assert counters["pregel.local_messages"] == counters["pregel.total_messages"]
+    assert counters["pregel.remote_messages"] == 0
+    assert counters["comm.messages_sent"] == counters["pregel.total_messages"]
 
 
 def test_fault_events_attach_to_spans(grid):

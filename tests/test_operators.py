@@ -1,4 +1,4 @@
-"""Tests for operators: advance, filter, for-each, reduce, uniquify,
+"""Tests for operators: advance, filter, reduce, uniquify,
 intersection, conditions, load balancing.
 
 The central property — an operator's semantics are identical under every
@@ -14,7 +14,6 @@ from repro.frontier import DenseFrontier, EdgeFrontier, SparseFrontier
 from repro.graph import from_edge_list
 from repro.operators import (
     filter_frontier,
-    for_each,
     neighbors_expand,
     reduce_values,
     segmented_intersection_counts,
@@ -220,39 +219,6 @@ class TestFilter:
     def test_edge_frontier_rejected(self):
         with pytest.raises(FrontierError):
             filter_frontier(seq, EdgeFrontier(5), lambda v: True)
-
-
-class TestForEach:
-    def test_over_frontier(self, policy):
-        acc = np.zeros(10)
-        f = SparseFrontier.from_indices([1, 3], 10)
-        if policy is par_vector:
-            for_each(policy, f, lambda idx: acc.__setitem__(idx, 1))
-        else:
-            for_each(policy, f, lambda v: acc.__setitem__(v, 1))
-        assert np.nonzero(acc)[0].tolist() == [1, 3]
-
-    def test_over_integer_range(self):
-        acc = []
-        for_each(seq, 4, acc.append)
-        assert acc == [0, 1, 2, 3]
-
-    def test_over_array(self):
-        acc = []
-        for_each(seq, np.array([5, 7]), acc.append)
-        assert acc == [5, 7]
-
-    def test_vector_gets_single_call(self):
-        calls = []
-        for_each(par_vector, np.arange(100), lambda idx: calls.append(len(idx)))
-        assert calls == [100]
-
-    def test_par_covers_all(self):
-        import threading
-
-        acc = np.zeros(1000)
-        for_each(par.with_workers(4), 1000, lambda v: acc.__setitem__(v, v))
-        assert np.array_equal(acc, np.arange(1000.0))
 
 
 class TestReduce:

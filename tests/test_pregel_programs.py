@@ -106,3 +106,70 @@ class TestComponentsProgram:
         owner = np.arange(80) % 4
         multi = pregel_components(g, owner_of=owner)
         assert np.array_equal(single, multi)
+
+
+#: ``(supersteps, total_messages, remote_messages)`` of each program on
+#: rmat-10 and a weighted grid-64, unpartitioned and under a 4-way random
+#: partition — recorded from the per-vertex mailbox engine this
+#: vectorised one replaced, so a port that sends one message more or
+#: one superstep longer fails here.
+PINNED_TRAFFIC = {
+    ("rmat10", "none", "max"): (6, 32974, 0),
+    ("rmat10", "none", "sssp"): (6, 16154, 0),
+    ("rmat10", "none", "pagerank"): (6, 60240, 0),
+    ("rmat10", "none", "cc"): (5, 25949, 0),
+    ("rmat10", "random4", "max"): (6, 32974, 24503),
+    ("rmat10", "random4", "sssp"): (6, 16154, 12002),
+    ("rmat10", "random4", "pagerank"): (6, 60240, 44745),
+    ("rmat10", "random4", "cc"): (5, 25949, 19275),
+    ("grid64", "none", "max"): (94, 116053, 0),
+    ("grid64", "none", "sssp"): (129, 40218, 0),
+    ("grid64", "none", "pagerank"): (6, 80640, 0),
+    ("grid64", "none", "cc"): (128, 1032192, 0),
+    ("grid64", "random4", "max"): (94, 116053, 87621),
+    ("grid64", "random4", "sssp"): (129, 40218, 30621),
+    ("grid64", "random4", "pagerank"): (6, 80640, 61000),
+    ("grid64", "random4", "cc"): (128, 1032192, 779272),
+}
+
+
+@pytest.fixture(scope="module")
+def traffic_graphs():
+    from repro.graph.generators import rmat
+
+    return {
+        "rmat10": rmat(10, 16, weighted=True, seed=1),
+        "grid64": grid_2d(64, 64, weighted=True, seed=1),
+    }
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_TRAFFIC), ids="-".join)
+def test_traffic_matches_pinned(traffic_graphs, key):
+    from repro.partition import random_partition
+
+    graph_name, part, program = key
+    g = traffic_graphs[graph_name]
+    n = g.n_vertices
+    owner = (
+        None if part == "none" else random_partition(g, 4, seed=1).assignment
+    )
+    prog, init = {
+        "max": (MaxValueProgram(), np.random.default_rng(0).random(n)),
+        "sssp": (SSSPProgram(0), np.full(n, float(INF))),
+        "pagerank": (PageRankProgram(n, rounds=5), np.full(n, 1.0 / n)),
+        "cc": (ComponentsProgram(), np.arange(n, dtype=np.float64)),
+    }[program]
+    engine = PregelEngine(g, owner_of=owner)
+    values = engine.run(prog, init)
+    stats = engine.stats
+    assert (
+        stats.supersteps,
+        stats.total_messages,
+        stats.remote_messages,
+    ) == PINNED_TRAFFIC[key]
+    assert stats.local_messages == stats.total_messages - stats.remote_messages
+    if graph_name == "grid64":  # connected: one value floods everywhere
+        if program == "max":
+            assert np.all(values == init.max())
+        if program == "cc":
+            assert np.all(values == 0.0)

@@ -19,7 +19,6 @@ import pytest
 from repro.algorithms.bfs import bfs
 from repro.algorithms.cc import connected_components
 from repro.algorithms.sssp import sssp, sssp_async
-from repro.comm.mailbox import MailboxRouter
 from repro.errors import (
     AggregateWorkerError,
     CheckpointError,
@@ -280,78 +279,98 @@ class TestChaosEquivalence:
         assert g.n_edges == 3
 
 
-# -- message chaos on the mailbox router ---------------------------------------------
+# -- message chaos and the loop's resilience, on Pregel runs ------------------------
 
 
+def _pregel_sssp(graph, policy=None):
+    from repro.algorithms.pregel_programs import SSSPProgram
+    from repro.comm.pregel import PregelEngine
+    from repro.types import INF
+
+    engine = PregelEngine(graph, resilience=policy)
+    values = engine.run(
+        SSSPProgram(0), np.full(graph.n_vertices, float(INF))
+    )
+    return values, engine
+
+
+@pytest.mark.chaos
 class TestMessageChaos:
-    def _router(self, policy, n=32):
-        return MailboxRouter(
-            np.zeros(n, dtype=np.int64), 1, resilience=policy
-        )
+    """Drop / duplicate / delay act on each superstep's message arrays."""
 
     def test_drop_without_retry_loses_messages(self):
-        inj = FaultInjector(seed=1, message_drop_rate=1.0, max_faults=5)
-        router = MailboxRouter(np.zeros(8, dtype=np.int64), 1)
+        g = grid_2d(6, 6, weighted=True, seed=1)
+        clean, _ = _pregel_sssp(g)
+        inj = FaultInjector(seed=1, message_drop_rate=1.0, max_faults=3)
         with inj:
-            router.send(np.arange(5), np.ones(5))
-        router.flush_barrier()
-        d, _ = router.receive(0)
-        assert d.size == 0
+            lossy, _ = _pregel_sssp(g)
+        assert inj.counts["message_drop"] > 0
+        assert not np.array_equal(lossy, clean)
 
-    def test_drop_with_retry_is_at_least_once(self):
+    def test_drop_with_retry_is_at_least_once(self, weighted_grid):
+        clean, _ = _pregel_sssp(weighted_grid)
         pol = ResiliencePolicy(
-            chaos=FaultInjector(seed=1, message_drop_rate=0.5),
+            chaos=FaultInjector(seed=CHAOS_SEED, message_drop_rate=0.2),
             retry=_fast_retry(),
         )
-        router = self._router(pol)
-        router.send(np.arange(32), np.ones(32))
-        router.flush_barrier()
-        d, _ = router.receive(0)
-        # at-least-once: everything arrives, possibly more than once
-        assert set(np.arange(32)) <= set(d.tolist())
+        chaotic, _ = _pregel_sssp(weighted_grid, pol)
+        assert np.array_equal(chaotic, clean)
+        assert pol.counters["messages_dropped"] > 0
         assert pol.counters["messages_redelivered"] > 0
 
-    def test_redelivery_exhaustion_raises(self):
+    def test_redelivery_exhaustion_raises(self, weighted_grid):
         pol = ResiliencePolicy(
             chaos=FaultInjector(seed=2, message_drop_rate=1.0),
             retry=_fast_retry(max_attempts=3),
         )
-        router = self._router(pol)
         with pytest.raises(RetryExhausted):
-            router.send(np.arange(4), np.ones(4))
+            _pregel_sssp(weighted_grid, pol)
+        assert pol.counters["retries_exhausted"] == 1
 
-    def test_delayed_messages_arrive_and_keep_run_alive(self):
+    def test_delayed_messages_arrive_and_keep_run_alive(self, weighted_grid):
+        clean, clean_engine = _pregel_sssp(weighted_grid)
         pol = ResiliencePolicy(
-            chaos=FaultInjector(seed=3, message_delay_rate=0.5)
+            chaos=FaultInjector(seed=CHAOS_SEED, message_delay_rate=0.5)
         )
-        router = self._router(pol)
-        router.send(np.arange(32), np.ones(32))
-        router.flush_barrier()
-        d, _ = router.receive(0)
-        received = d.size
-        assert received < 32
-        # the engine's termination check sees the held-back messages
-        assert router.has_messages()
-        for _ in range(64):
-            if not router.has_messages():
-                break
-            router.flush_barrier()
-            d, _ = router.receive(0)
-            received += d.size
-        assert received == 32
+        delayed, engine = _pregel_sssp(weighted_grid, pol)
+        assert pol.counters["messages_delayed"] > 0
+        # Held messages kept the run going until every one arrived.
+        assert np.array_equal(delayed, clean)
+        assert engine.stats.supersteps > clean_engine.stats.supersteps
 
-    def test_duplicates_tolerated_by_min_combiner(self):
-        from repro.comm.messages import MinCombiner
-
+    def test_duplicates_tolerated_by_min_combiner(self, weighted_grid):
+        clean, _ = _pregel_sssp(weighted_grid)
         pol = ResiliencePolicy(
-            chaos=FaultInjector(seed=4, message_duplicate_rate=0.5)
+            chaos=FaultInjector(seed=CHAOS_SEED, message_duplicate_rate=0.5)
         )
-        router = self._router(pol)
-        router.send(np.arange(32), np.arange(32, dtype=float))
-        router.flush_barrier()
-        d, v = router.receive(0, combiner=MinCombiner())
-        assert np.array_equal(d, np.arange(32))
-        assert np.array_equal(v, np.arange(32, dtype=float))
+        duplicated, _ = _pregel_sssp(weighted_grid, pol)
+        assert pol.counters["messages_duplicated"] > 0
+        assert np.array_equal(duplicated, clean)
+
+
+class TestPregelOnTheLoop:
+    """Pregel runs inherit the enactor's retry and checkpoints."""
+
+    @pytest.mark.chaos
+    def test_task_faults_retried_to_identical_answer(self, weighted_rmat):
+        clean, _ = _pregel_sssp(weighted_rmat)
+        inj = FaultInjector(seed=CHAOS_SEED, task_rate=0.3)
+        pol = ResiliencePolicy(chaos=inj, retry=_fast_retry())
+        chaotic, _ = _pregel_sssp(weighted_rmat, pol)
+        assert inj.counts["task"] > 0
+        assert np.array_equal(chaotic, clean)
+
+    def test_checkpoints_hold_values(self, weighted_grid):
+        pol = ResiliencePolicy(checkpoint_every=2)
+        values, engine = _pregel_sssp(weighted_grid, pol)
+        assert engine.stats.supersteps > 4
+        assert pol.counters["checkpoints_saved"] >= 2
+        latest = pol.store.latest()
+        assert latest.superstep % 2 == 0
+        snap = latest.arrays["values"]
+        assert snap.shape == values.shape
+        # A checkpoint is a past superstep: never better than the answer.
+        assert np.all(snap >= values)
 
 
 # -- checkpoint / resume -------------------------------------------------------------
