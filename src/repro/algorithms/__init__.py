@@ -21,6 +21,8 @@ module                      algorithm(s)
 :mod:`~repro.algorithms.mst`       Borůvka minimum spanning forest
 :mod:`~repro.algorithms.pregel_programs`  Pregel-model ports (SSSP, PageRank, CC, max-value)
 ========================== ===========================================
+
+:data:`REGISTRY` is the table the CLI, profiler and service dispatch from.
 """
 
 from repro.algorithms.sssp import sssp, sssp_async, SSSPResult
@@ -47,8 +49,11 @@ from repro.algorithms.ktruss import ktruss_decomposition, KTrussResult
 from repro.algorithms.geo import geolocate, haversine_km, GeoResult
 from repro.algorithms.scc import strongly_connected_components, tarjan_scc, SCCResult
 from repro.algorithms.astar import astar, euclidean_heuristic, grid_heuristic, AStarResult
+from repro.algorithms.registry import REGISTRY, AlgorithmSpec
 
 __all__ = [
+    "REGISTRY",
+    "AlgorithmSpec",
     "sssp",
     "label_propagation_communities",
     "modularity",

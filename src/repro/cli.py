@@ -169,29 +169,89 @@ def cmd_convert(args: argparse.Namespace) -> int:
     return 0
 
 
+_OWN = "default: the algorithm's own"
+_POLICIES = ["seq", "par", "par_nosync", "par_vector", "par_proc"]
+#: Flags that set plan fields: dest -> (field, add_argument kwargs).
+_PLAN_FLAGS = {
+    "source": ("source", dict(type=int, help="default: vertex 0")),
+    "policy": ("policy", dict(choices=_POLICIES, help=_OWN)),
+    "direction": ("direction", dict(choices=["push", "pull", "auto"], help=_OWN)),
+    "backend": (
+        "backend",
+        dict(choices=["native", "linalg", "auto"], help="default native; "
+             "bfs/sssp/cc run native under linalg (recorded as a fallback)"),
+    ),
+    "seed": ("seed", dict(type=int, help=_OWN)),
+    "workers": ("num_workers", dict(type=int, help=_OWN)),
+    "chaos_seed": ("resilience", dict(type=int, help="fault seed, default 0")),
+    "chaos_rate": (
+        "resilience", dict(type=float, help="fault probability, default 0 (off)")
+    ),
+    "checkpoint_every": (
+        "resilience", dict(type=int, help="snapshot every N supersteps, 0 = off")
+    ),
+    "retry_attempts": (
+        "resilience", dict(type=int, help="attempts per faulted op, default 8")
+    ),
+}
+
+
+def _add_plan_flags(p: argparse.ArgumentParser, *dests: str) -> None:
+    for dest in dests:
+        p.add_argument("--" + dest.replace("_", "-"), **_PLAN_FLAGS[dest][1])
+    p.set_defaults(plan_flags=dests)
+
+
+class _UsageError(Exception):
+    """A flag the chosen algorithm does not consume (exit 2, as argparse)."""
+
+
+def _plan_from_flags(args: argparse.Namespace) -> dict:
+    """The plan fields the user set, keyed as the algorithm's spec names
+    them.  Unset flags stay out, so every field keeps the one default
+    its entry's signature declares; a set flag the spec does not consume
+    is a :class:`_UsageError`."""
+    from repro.algorithms import REGISTRY
+
+    spec = REGISTRY[args.algorithm]
+    plan, unused = {}, []
+    for dest in args.plan_flags:
+        name = _PLAN_FLAGS[dest][0]
+        if getattr(args, dest) is None:
+            continue
+        if name not in spec.fields:
+            unused.append("--" + dest.replace("_", "-"))
+        elif name == "resilience":
+            plan[name] = _build_resilience(args)
+        else:
+            plan[name] = getattr(args, dest)
+    if unused:
+        raise _UsageError(
+            f"{', '.join(unused)} not consumed by {args.algorithm!r}, which "
+            f"takes {', '.join(spec.fields) or 'no plan fields'}"
+        )
+    return plan
+
+
 def _build_resilience(args: argparse.Namespace):
     """Translate the ``run`` command's chaos/checkpoint flags into a
-    :class:`~repro.resilience.ResiliencePolicy` (``None`` when every
-    flag is at its quiet default)."""
-    if not (0.0 <= args.chaos_rate <= 1.0):
+    :class:`~repro.resilience.ResiliencePolicy` (``None`` when neither
+    chaos nor checkpoints are on)."""
+    chaos_rate = args.chaos_rate or 0.0
+    checkpoint_every = args.checkpoint_every or 0
+    retry_attempts = 8 if args.retry_attempts is None else args.retry_attempts
+    if not (0.0 <= chaos_rate <= 1.0):
+        raise SystemExit(f"--chaos-rate must be in [0, 1], got {chaos_rate}")
+    if checkpoint_every < 0:
         raise SystemExit(
-            f"--chaos-rate must be in [0, 1], got {args.chaos_rate}"
+            f"--checkpoint-every must be >= 0, got {checkpoint_every}"
         )
-    if args.checkpoint_every < 0:
+    if retry_attempts < 1:
         raise SystemExit(
-            f"--checkpoint-every must be >= 0, got {args.checkpoint_every}"
+            f"--retry-attempts must be >= 1, got {retry_attempts}"
         )
-    if args.retry_attempts < 1:
-        raise SystemExit(
-            f"--retry-attempts must be >= 1, got {args.retry_attempts}"
-        )
-    if not (args.chaos_rate > 0 or args.checkpoint_every > 0):
+    if not (chaos_rate > 0 or checkpoint_every > 0):
         return None
-    if args.algorithm not in ("sssp", "bfs", "cc"):
-        raise SystemExit(
-            f"--chaos-rate/--checkpoint-every support sssp, bfs, and cc "
-            f"(enactor-driven algorithms), not {args.algorithm!r}"
-        )
     from repro.resilience import (
         FaultInjector,
         ResiliencePolicy,
@@ -199,17 +259,33 @@ def _build_resilience(args: argparse.Namespace):
     )
 
     chaos = (
-        FaultInjector.uniform(seed=args.chaos_seed, rate=args.chaos_rate)
-        if args.chaos_rate > 0
+        FaultInjector.uniform(seed=args.chaos_seed or 0, rate=chaos_rate)
+        if chaos_rate > 0
         else None
     )
     return ResiliencePolicy(
         chaos=chaos,
         retry=RetryPolicy(
-            max_attempts=args.retry_attempts, base_delay=0.0, max_delay=0.0
+            max_attempts=retry_attempts, base_delay=0.0, max_delay=0.0
         ),
-        checkpoint_every=args.checkpoint_every,
+        checkpoint_every=checkpoint_every,
     )
+
+
+def _ledger_config(args: argparse.Namespace, plan: dict, **identity) -> dict:
+    """A ledger record's ``config``: the graph's identity plus every
+    field the algorithm consumed, at the value it ran with."""
+    from repro.algorithms import REGISTRY
+
+    config = {**identity, **REGISTRY[args.algorithm].defaults, **plan}
+    if "resilience" in config:
+        config["resilience"] = {
+            dest: getattr(args, dest)
+            for dest in args.plan_flags
+            if _PLAN_FLAGS[dest][0] == "resilience"
+            and getattr(args, dest) is not None
+        } or None
+    return config
 
 
 def _export_probe(probe, args: argparse.Namespace, algorithm: str) -> None:
@@ -237,7 +313,7 @@ def _append_ledger_record(
     metrics: dict,
     stats=None,
     probe=None,
-    config_keys: Sequence[str] = (),
+    config: Optional[dict] = None,
 ) -> None:
     """Append one run-ledger record (quietly skipped when disabled).
 
@@ -255,11 +331,6 @@ def _append_ledger_record(
         from repro.observability.analysis import analyze_probe
 
         analysis = analyze_probe(probe).to_dict()
-    config = {
-        key: getattr(args, key)
-        for key in config_keys
-        if getattr(args, key, None) is not None
-    }
     record = ledger_mod.make_record(
         kind=kind,
         algorithm=algorithm,
@@ -289,73 +360,60 @@ def _add_ledger_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ledger-dir", help="ledger root (default .repro/runs)")
 
 
-class _SigtermInterrupt:
-    """Route SIGTERM to :class:`KeyboardInterrupt` (main thread only).
-
-    A run killed by a supervisor's TERM then takes exactly the Ctrl-C
-    path: flush whatever telemetry exists, append an ``interrupted``
-    ledger record, exit 130.  Off the main thread (tests driving
-    :func:`main` from a worker) signal installation is skipped — the
-    KeyboardInterrupt path itself still works.
-    """
-
-    def __enter__(self) -> "_SigtermInterrupt":
-        import signal
-        import threading
-
-        self._prev = None
-        if threading.current_thread() is threading.main_thread():
-            try:
-                self._prev = signal.signal(signal.SIGTERM, self._raise)
-            except ValueError:  # pragma: no cover - non-main interpreter
-                self._prev = None
-        return self
-
-    @staticmethod
-    def _raise(signum, frame) -> None:
-        raise KeyboardInterrupt
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        import signal
-
-        if self._prev is not None:
-            signal.signal(signal.SIGTERM, self._prev)
-
-
 #: Conventional exit code for "terminated by interrupt" (128 + SIGINT).
 INTERRUPT_EXIT = 130
 
 
-def _interrupted_exit(
-    args: argparse.Namespace,
-    *,
-    kind: str,
-    algorithm: str,
-    probe,
-    seconds: float,
-) -> int:
-    """The SIGINT/SIGTERM epilogue for recording commands.
+def _raise_interrupt(signum, frame) -> None:
+    raise KeyboardInterrupt
 
-    Whatever the run produced before the interrupt is flushed — the
-    probe's trace buffer to the requested export files, and an
-    ``interrupted: true`` record to the run ledger — so a killed run
-    still leaves evidence, then the conventional 130 is returned.
+
+def _recorded(args: argparse.Namespace, body) -> int:
+    """Run ``body(args, probe)``, the work of ``repro run``/``profile``.
+
+    ``probe`` is a fresh :class:`~repro.observability.probe.Probe` when
+    the command profiles or exports telemetry (``--trace``/``--events``),
+    else ``None``.  On SIGINT/SIGTERM whatever the run produced is
+    flushed — the probe's trace buffer to the requested export files,
+    and an ``interrupted: true`` record to the run ledger — so a killed
+    run still leaves evidence, then the conventional 130 is returned.
     """
+    import signal
+    import threading
+    import time as time_mod
+
+    from repro.observability.probe import Probe
+
+    t0 = time_mod.perf_counter()
+    probe = None
+    if args.command == "profile" or args.trace or args.events:
+        probe = Probe(trace=not getattr(args, "no_spans", False))
+    # A supervisor's TERM takes the Ctrl-C path (handlers install only
+    # from the main thread; elsewhere Ctrl-C's path still works).
+    on_main = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _raise_interrupt) if on_main else None
+    try:
+        return body(args, probe)
+    except KeyboardInterrupt:
+        seconds = time_mod.perf_counter() - t0
+    finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
     if probe is not None:
         try:
-            _export_probe(probe, args, algorithm)
+            _export_probe(probe, args, args.algorithm)
         except Exception as exc:  # noqa: BLE001 - already dying
             print(f"interrupt: trace export failed ({exc})", file=sys.stderr)
     _append_ledger_record(
         args,
-        kind=kind,
-        algorithm=algorithm,
+        kind=args.command,
+        algorithm=args.algorithm,
         metrics={"seconds": seconds, "interrupted": True},
         probe=probe,
     )
     print(
-        f"interrupted: partial telemetry flushed ({kind} {algorithm}, "
-        f"{seconds:.2f}s in)",
+        f"interrupted: partial telemetry flushed ({args.command} "
+        f"{args.algorithm}, {seconds:.2f}s in)",
         file=sys.stderr,
     )
     return INTERRUPT_EXIT
@@ -371,165 +429,54 @@ def cmd_run(args: argparse.Namespace) -> int:
     Every run appends a run-ledger record (``--no-ledger`` opts out).
     SIGINT/SIGTERM flush partial telemetry and exit 130.
     """
+    return _recorded(args, _run_body)
+
+
+def _run_body(args: argparse.Namespace, probe) -> int:
+    """The ``run`` command: one registry entry on one graph, under
+    ``probe`` when there is one."""
     import time as time_mod
 
-    t0 = time_mod.perf_counter()
-    probe = None
-    try:
-        with _SigtermInterrupt():
-            if getattr(args, "trace", None) or getattr(args, "events", None):
-                from repro.observability.probe import Probe
-
-                probe = Probe()
-                with probe:
-                    code = _run_body(args, probe=probe)
-                _export_probe(probe, args, args.algorithm)
-                return code
-            return _run_body(args)
-    except KeyboardInterrupt:
-        return _interrupted_exit(
-            args,
-            kind="run",
-            algorithm=args.algorithm,
-            probe=probe,
-            seconds=time_mod.perf_counter() - t0,
-        )
-
-
-def _run_body(args: argparse.Namespace, probe=None) -> int:
-    """The ``run`` command's algorithm dispatch (probe-agnostic)."""
-    import time as time_mod
-
-    import repro.algorithms as alg
+    from repro.algorithms import REGISTRY
+    from repro.observability.probe import NULL_PROBE
 
     name = args.algorithm
-    if name in ("scc", "communities") and args.policy != "par_vector":
-        raise SystemExit(
-            f"--policy is not supported by {name!r}, which has one schedule"
-        )
-    g = _load_graph(args.graph, directed=not args.undirected)
-    resilience = _build_resilience(args)
-    t0 = time_mod.perf_counter()
-    backend = getattr(args, "backend", "native")
-    if name == "sssp":
-        result = alg.sssp(
-            g,
-            args.source,
-            policy=args.policy,
-            resilience=resilience,
-            backend=backend,
-        )
-        values = result.distances
-        stats = result.stats
-    elif name == "bfs":
-        result = alg.bfs(
-            g,
-            args.source,
-            policy=args.policy,
-            direction=args.direction,
-            resilience=resilience,
-            backend=backend,
-        )
-        values = result.levels
-        stats = result.stats
-    elif name == "pagerank":
-        result = alg.pagerank(g, policy=args.policy, backend=backend)
-        values = result.ranks
-        stats = result.stats
-    elif name == "cc":
-        result = alg.connected_components(
-            g, policy=args.policy, resilience=resilience, backend=backend
-        )
-        values = result.labels
-        stats = result.stats
-        print(f"components: {result.n_components}")
-    elif name == "scc":
-        result = alg.strongly_connected_components(g)
-        values = result.labels
-        stats = result.stats
-        print(f"strongly connected components: {result.n_components}")
-    elif name == "tc":
-        result = alg.triangle_count(g, policy=args.policy)
-        print(f"triangles: {result.total}")
-        _append_ledger_record(
-            args,
-            kind="run",
-            algorithm=name,
-            metrics={"seconds": time_mod.perf_counter() - t0,
-                     "triangles": int(result.total)},
-            probe=probe,
-            config_keys=("graph", "policy", "seed"),
-        )
-        return 0
-    elif name == "kcore":
-        result = alg.kcore_decomposition(g, policy=args.policy)
-        values = result.core_numbers
-        stats = result.stats
-        print(f"degeneracy: {result.max_core}")
-    elif name == "color":
-        result = alg.graph_coloring(g, policy=args.policy, seed=args.seed)
-        values = result.colors
-        stats = result.stats
-        print(f"colors: {result.n_colors}")
-    elif name == "ppr":
-        result = alg.personalized_pagerank(
-            g, args.source, policy=args.policy, backend=backend
-        )
-        values = result.ranks
-        stats = result.stats
-    elif name == "mis":
-        result = alg.maximal_independent_set(
-            g, policy=args.policy, seed=args.seed
-        )
-        values = result.in_set
-        stats = result.stats
-        print(f"independent set size: {result.size}")
-    elif name == "ktruss":
-        result = alg.ktruss_decomposition(g, policy=args.policy)
-        print(f"max truss: {result.max_truss}")
-        _append_ledger_record(
-            args,
-            kind="run",
-            algorithm=name,
-            metrics={"seconds": time_mod.perf_counter() - t0,
-                     "max_truss": int(result.max_truss)},
-            probe=probe,
-            config_keys=("graph", "policy", "seed"),
-        )
-        return 0
-    elif name == "communities":
-        result = alg.label_propagation_communities(g, seed=args.seed)
-        values = result.labels
-        stats = result.stats
-        print(
-            f"communities: {result.n_communities} "
-            f"(Q={alg.modularity(g, result.labels):.3f})"
-        )
-    else:  # pragma: no cover
-        raise ValueError(name)
-    seconds = time_mod.perf_counter() - t0
-    print(
-        f"{name}: {stats.num_iterations} supersteps, "
-        f"{stats.total_edges_touched} edges touched, "
-        f"{stats.mteps:.3f} MTEPS"
+    spec = REGISTRY[name]
+    plan = _plan_from_flags(args)
+    with probe or NULL_PROBE:
+        g = _load_graph(args.graph, directed=not args.undirected)
+        t0 = time_mod.perf_counter()
+        result = spec.run(g, plan)
+        seconds = time_mod.perf_counter() - t0
+    extra = spec.extra(g, result) if spec.extra else {}
+    if spec.summary:
+        print(spec.summary.format(**extra))
+    metrics = dict(
+        seconds=seconds, **extra, n_vertices=g.n_vertices, n_edges=g.n_edges
     )
+    stats = getattr(result, "stats", None)
+    if stats is not None:
+        print(
+            f"{name}: {stats.num_iterations} supersteps, "
+            f"{stats.total_edges_touched} edges touched, "
+            f"{stats.mteps:.3f} MTEPS"
+        )
+        metrics.update(
+            iterations=stats.num_iterations,
+            edges_expanded=stats.total_edges_touched,
+            mteps=stats.mteps,
+            converged=stats.converged,
+        )
     _append_ledger_record(
         args,
         kind="run",
         algorithm=name,
-        metrics={
-            "seconds": seconds,
-            "iterations": stats.num_iterations,
-            "edges_expanded": stats.total_edges_touched,
-            "mteps": stats.mteps,
-            "converged": stats.converged,
-            "n_vertices": g.n_vertices,
-            "n_edges": g.n_edges,
-        },
+        metrics=metrics,
         stats=stats,
         probe=probe,
-        config_keys=("graph", "policy", "direction", "source", "seed"),
+        config=_ledger_config(args, plan, graph=args.graph),
     )
+    resilience = plan.get("resilience")
     if resilience is not None:
         active = resilience.counters.as_dict()
         if resilience.chaos is not None:
@@ -541,11 +488,16 @@ def _run_body(args: argparse.Namespace, probe=None) -> int:
                 or "no events"
             )
         )
-    if args.output:
+    values = spec.values_of(result)
+    if values is None and (args.output or args.head):
+        print(f"{name} has no per-vertex values to write", file=sys.stderr)
+    elif args.output:
         np.save(args.output, values)
         print(f"values written to {args.output}")
     elif args.head:
         print(f"first {args.head} values: {np.asarray(values)[: args.head]}")
+    if probe is not None:
+        _export_probe(probe, args, name)
     return 0
 
 
@@ -554,49 +506,31 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
     With no graph argument a seeded weighted grid is generated, so
     ``repro profile sssp --trace out.json`` works standalone (the CI
-    smoke-profile job relies on this).  SIGINT/SIGTERM flush the ledger
-    and exit 130, like ``repro run``.
+    smoke-profile job relies on this).  SIGINT/SIGTERM flush partial
+    telemetry and exit 130, like ``repro run``.
     """
-    import time as time_mod
-
-    t0 = time_mod.perf_counter()
-    try:
-        with _SigtermInterrupt():
-            return _profile_body(args)
-    except KeyboardInterrupt:
-        return _interrupted_exit(
-            args,
-            kind="profile",
-            algorithm=args.algorithm,
-            probe=None,
-            seconds=time_mod.perf_counter() - t0,
-        )
+    return _recorded(args, _profile_body)
 
 
-def _profile_body(args: argparse.Namespace) -> int:
+def _profile_body(args: argparse.Namespace, probe) -> int:
     from repro.observability.export import render_summary
     from repro.observability.profile import profile_algorithm
 
+    plan = _plan_from_flags(args)
     if args.graph:
         g = _load_graph(args.graph, directed=not args.undirected)
+        graph_id = args.graph
     else:
         from repro.graph import generators as gen
 
         side = int(np.sqrt(1 << args.scale))
         g = gen.grid_2d(side, side, weighted=True, seed=args.seed)
+        graph_id = f"grid:{side}x{side}:seed={args.seed}"
         print(
             f"profiling on generated {side}x{side} grid "
             f"({g.n_vertices} vertices, {g.n_edges} edges)"
         )
-    report = profile_algorithm(
-        g,
-        args.algorithm,
-        source=args.source,
-        policy=args.policy,
-        num_workers=args.workers,
-        trace=not args.no_spans,
-        backend=getattr(args, "backend", "native"),
-    )
+    report = profile_algorithm(g, args.algorithm, probe=probe, **plan)
     if args.json:
         print(json.dumps(report.summary_metrics(), indent=2, sort_keys=True))
     else:
@@ -613,7 +547,7 @@ def _profile_body(args: argparse.Namespace) -> int:
         metrics=report.summary_metrics(),
         stats=report.stats,
         probe=report.probe,
-        config_keys=("graph", "scale", "policy", "workers", "source", "seed"),
+        config=_ledger_config(args, plan, graph=graph_id),
     )
     return 0
 
@@ -784,7 +718,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         kind="verify",
         algorithm=",".join(args.algo) if args.algo else "all",
         metrics={"ok": not failed, **records},
-        config_keys=("seed", "full"),
+        config={"seed": args.seed, "full": args.full},
     )
     if args.json:
         print(json.dumps({"ok": not failed, **records}, indent=2))
@@ -1386,6 +1320,9 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse tree for all subcommands."""
+    from repro.algorithms.registry import REGISTRY, service_algorithms
+    from repro.dynamic.stream import STREAM_ALGORITHMS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Essentials of Parallel Graph Analytics — Python reproduction",
@@ -1420,59 +1357,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--undirected", action="store_true")
     p.set_defaults(fn=cmd_convert)
 
-    p = sub.add_parser("run", help="run an algorithm")
-    p.add_argument(
-        "algorithm",
-        choices=[
-            "sssp", "bfs", "pagerank", "cc", "scc", "tc", "kcore",
-            "color", "ppr", "mis", "ktruss", "communities",
-        ],
+    p = sub.add_parser(
+        "run",
+        help="run an algorithm; a plan flag it does not consume is an error",
     )
+    p.add_argument("algorithm", choices=list(REGISTRY))
     p.add_argument("graph")
-    p.add_argument("--source", type=int, default=0)
-    p.add_argument(
-        "--policy",
-        choices=["seq", "par", "par_nosync", "par_vector", "par_proc"],
-        default="par_vector",
-    )
-    p.add_argument(
-        "--direction", choices=["push", "pull", "auto"], default="auto"
-    )
-    p.add_argument(
-        "--backend",
-        choices=["native", "linalg", "auto"],
-        default="native",
-        help="execution backend; bfs/sssp/cc have no matrix driver and "
-        "run native under linalg (recorded as a fallback)",
+    _add_plan_flags(
+        p, "source", "policy", "direction", "backend", "seed",
+        "chaos_seed", "chaos_rate", "checkpoint_every", "retry_attempts",
     )
     p.add_argument("--undirected", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", help="write the per-vertex result as .npy")
     p.add_argument("--head", type=int, default=0, help="print first N values")
-    p.add_argument(
-        "--chaos-seed",
-        type=int,
-        default=0,
-        help="fault-injection seed (sssp/bfs/cc; replays a chaos run)",
-    )
-    p.add_argument(
-        "--chaos-rate",
-        type=float,
-        default=0.0,
-        help="per-decision fault probability; 0 disables chaos",
-    )
-    p.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=0,
-        help="snapshot state every N supersteps; 0 disables",
-    )
-    p.add_argument(
-        "--retry-attempts",
-        type=int,
-        default=8,
-        help="max attempts per faulted operation under chaos",
-    )
     p.add_argument(
         "--trace",
         help="run under the probe and write a Chrome/Perfetto trace here",
@@ -1488,13 +1385,7 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="run an algorithm under the observability probe",
     )
-    p.add_argument(
-        "algorithm",
-        choices=[
-            "sssp", "sssp_async", "bfs", "cc",
-            "pagerank", "pregel_pagerank",
-        ],
-    )
+    p.add_argument("algorithm", choices=list(REGISTRY))
     p.add_argument(
         "graph",
         nargs="?",
@@ -1506,22 +1397,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=12,
         help="log2 vertex count of the generated grid (no graph given)",
     )
-    p.add_argument("--source", type=int, default=0)
-    p.add_argument(
-        "--policy",
-        choices=["seq", "par", "par_nosync", "par_vector", "par_proc"],
-        default="par_vector",
-    )
-    p.add_argument("--workers", type=int, default=4)
-    p.add_argument(
-        "--backend",
-        choices=["native", "linalg", "auto"],
-        default="native",
-        help="execution backend; bfs/sssp/cc have no matrix driver and "
-        "run native under linalg (recorded as a fallback)",
-    )
+    _add_plan_flags(p, "source", "policy", "workers", "backend")
     p.add_argument("--undirected", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--seed", type=int, default=0, help="seed of the generated grid"
+    )
     p.add_argument(
         "--trace", help="write a Chrome/Perfetto trace (open in ui.perfetto.dev)"
     )
@@ -1657,11 +1537,7 @@ def build_parser() -> argparse.ArgumentParser:
         "query", help="send one request to a running `repro serve`"
     )
     p.add_argument("graph", nargs="?", help="catalog graph name")
-    p.add_argument(
-        "algorithm",
-        nargs="?",
-        choices=["pagerank", "ppr", "bfs", "sssp", "cc"],
-    )
+    p.add_argument("algorithm", nargs="?", choices=service_algorithms())
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, required=True)
     p.add_argument(
@@ -1770,7 +1646,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--algorithm",
         action="append",
-        choices=["bfs", "sssp", "cc", "pagerank"],
+        choices=STREAM_ALGORITHMS,
         help="queries to run each window (repeatable; default all)",
     )
     p.add_argument("--source", type=int, default=0)
@@ -1825,7 +1701,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--policy",
         action="append",
-        choices=["seq", "par", "par_nosync", "par_vector", "par_proc", "async"],
+        choices=_POLICIES + ["async"],
         help="matrix only: restrict the policy axis (repeatable)",
     )
     p.add_argument(
@@ -1893,8 +1769,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
-    return args.fn(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.fn(args)
+    except _UsageError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Optional
 
+from repro.algorithms.registry import REGISTRY, service_algorithms
 from repro.errors import ProtocolError
 
 #: Protocol identifier echoed in every response.
@@ -31,9 +32,6 @@ MAX_FRAME_BYTES = 1 << 20
 
 #: Operations a request may carry.
 OPS = ("query", "mutate", "ping", "stats", "metrics", "catalog", "shutdown")
-
-#: Algorithms the query op accepts.
-ALGORITHMS = ("pagerank", "ppr", "bfs", "sssp", "cc")
 
 # -- status codes ----------------------------------------------------------------------
 
@@ -102,7 +100,8 @@ def validate_request(req: Dict[str, Any]) -> Dict[str, Any]:
 
     Returns the request with defaults filled in (``tenant``,
     ``params``); the caller can rely on every field being present and
-    type-correct afterwards.
+    type-correct afterwards.  A query's ``params`` are every field its
+    registry spec consumes, typed, so equal queries share a cache key.
     """
     op = req.get("op", "query")
     if op not in OPS:
@@ -128,13 +127,19 @@ def validate_request(req: Dict[str, Any]) -> Dict[str, Any]:
     if not isinstance(graph, str) or not graph:
         raise ProtocolError("query needs a 'graph' name (string)")
     algorithm = req.get("algorithm")
-    if algorithm not in ALGORITHMS:
+    spec = REGISTRY.get(algorithm) if isinstance(algorithm, str) else None
+    if spec is None or not spec.service:
         raise ProtocolError(
-            f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
+            f"unknown algorithm {algorithm!r}; expected one of "
+            f"{service_algorithms()}"
         )
     params = req.get("params") or {}
     if not isinstance(params, dict):
         raise ProtocolError("'params' must be an object")
+    try:
+        params = spec.wire_params(params)
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"bad {algorithm} parameters: {exc}") from None
     timeout_s = req.get("timeout_s")
     if timeout_s is not None:
         try:

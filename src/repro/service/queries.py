@@ -7,9 +7,12 @@ iteration count, a checksum over the full vector (so two servers — or a
 cached and a fresh answer — can be compared for agreement), and the
 first ``head`` values for eyeballing.
 
-Partial results: ``pagerank`` and ``ppr`` are anytime algorithms — when
-the ambient :class:`~repro.resilience.deadline.CancelToken` fires they
-return their last completed iterate with ``converged: false``, which
+Dispatch is by :data:`repro.algorithms.REGISTRY`: a spec marked
+``service`` names the entry, its values field and its extra result
+fields.  Partial results: ``pagerank`` and ``ppr`` are anytime
+algorithms — when the ambient
+:class:`~repro.resilience.deadline.CancelToken` fires they return their
+last completed iterate with ``converged: false``, which
 :func:`execute_query` marks ``partial: true``.  Traversals (``bfs``,
 ``sssp``, ``cc``) have no useful prefix answer, so their cancellation
 propagates as :class:`~repro.errors.DeadlineExceeded` and the server
@@ -50,79 +53,31 @@ def execute_query(
 ) -> Dict[str, Any]:
     """Run one algorithm; returns a JSON-serializable result dict.
 
-    Runs on the caller's thread under whatever ambient cancel token the
+    ``params`` are plan fields of the algorithm's registry spec, as
+    :func:`~repro.service.protocol.validate_request` types them.  Runs
+    on the caller's thread under whatever ambient cancel token the
     server installed; raises :class:`~repro.errors.CancellationError`
     out of non-anytime algorithms and :class:`ProtocolError` on bad
     parameters (mapped to 400, never 500 — the client's mistake).
     """
-    import repro.algorithms as alg
+    from repro.algorithms import REGISTRY
 
-    if "source" in params:
-        try:
-            source = int(params["source"])
-        except (TypeError, ValueError):
-            raise ProtocolError(
-                f"'source' must be an integer, got {params['source']!r}"
-            ) from None
-        if not (0 <= source < graph.n_vertices):
+    spec = REGISTRY[algorithm]
+    if "resilience" in spec.fields:
+        params = {**params, "resilience": resilience}
+    try:
+        source = params.get("source")
+        if source is not None and not 0 <= source < graph.n_vertices:
             raise ProtocolError(
                 f"'source' {source} out of range [0, {graph.n_vertices})"
             )
-    policy = str(params.get("policy", "par_vector"))
-    try:
-        if algorithm == "pagerank":
-            r = alg.pagerank(
-                graph,
-                damping=float(params.get("damping", 0.85)),
-                tolerance=float(params.get("tolerance", 1e-6)),
-                max_iterations=int(params.get("max_iterations", 100)),
-                policy=policy,
-            )
-            values, extra = r.ranks, {"delta": r.delta}
-        elif algorithm == "ppr":
-            r = alg.personalized_pagerank(
-                graph,
-                params.get("source", 0),
-                damping=float(params.get("damping", 0.85)),
-                tolerance=float(params.get("tolerance", 1e-8)),
-                max_iterations=int(params.get("max_iterations", 200)),
-                policy=policy,
-            )
-            values, extra = r.ranks, {"seeds": [int(s) for s in r.seeds]}
-        elif algorithm == "bfs":
-            r = alg.bfs(
-                graph,
-                int(params.get("source", 0)),
-                policy=policy,
-                direction=str(params.get("direction", "push")),
-                resilience=resilience,
-            )
-            values = r.levels
-            extra = {"reached": int(np.count_nonzero(r.levels >= 0))}
-        elif algorithm == "sssp":
-            r = alg.sssp(
-                graph,
-                int(params.get("source", 0)),
-                policy=policy,
-                resilience=resilience,
-            )
-            values = r.distances
-            extra = {
-                "reached": int(np.count_nonzero(np.isfinite(r.distances)))
-            }
-        elif algorithm == "cc":
-            r = alg.connected_components(
-                graph, policy=policy, resilience=resilience
-            )
-            values, extra = r.labels, {"n_components": int(r.n_components)}
-        else:  # pragma: no cover - protocol validation guards this
-            raise ProtocolError(f"unknown algorithm {algorithm!r}")
+        r = spec.run(graph, params)
     except (ValueError, KeyError, TypeError, ExecutionPolicyError) as exc:
-        # Bad parameter values (negative damping, out-of-range source,
-        # non-numeric strings, unknown policies) are the client's error,
-        # not the server's.
+        # Bad parameter values (negative damping, non-numeric strings,
+        # unknown policies) are the client's error, not the server's.
         raise ProtocolError(f"bad {algorithm} parameters: {exc}") from exc
 
+    values = spec.values_of(r)
     stats = getattr(r, "stats", None)
     converged = bool(getattr(r, "converged", True))
     token = active_token()
@@ -136,7 +91,7 @@ def execute_query(
         or (stats.num_iterations if stats is not None else 0),
         "checksum": _checksum(values),
         "head": _head(values),
-        **extra,
+        **spec.extra(graph, r),
     }
 
 

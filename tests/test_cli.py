@@ -1,13 +1,31 @@
 """Tests for the command-line interface (direct main() invocation)."""
 
+import dataclasses
+import functools
 import json
 
 import numpy as np
 import pytest
 
+from repro.algorithms import REGISTRY
 from repro.cli import main
 from repro.graph.generators import grid_2d
 from repro.graph.io import load_graph_npz, save_graph_npz
+
+
+def _spy_on_policy(monkeypatch, name):
+    """Swap ``name``'s registry entry for a signature-preserving spy;
+    returns the list of ``policy`` values it is called with."""
+    spec = REGISTRY[name]
+    seen = []
+
+    @functools.wraps(spec.entry)
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("policy"))
+        return spec.entry(*args, **kwargs)
+
+    monkeypatch.setitem(REGISTRY, name, dataclasses.replace(spec, entry=spy))
+    return seen
 
 
 @pytest.fixture
@@ -107,40 +125,29 @@ class TestRun:
     @pytest.mark.parametrize(
         "algorithm, entry",
         [
-            ("sssp", "sssp"),
-            ("bfs", "bfs"),
-            ("pagerank", "pagerank"),
-            ("cc", "connected_components"),
-            ("tc", "triangle_count"),
-            ("kcore", "kcore_decomposition"),
-            ("color", "graph_coloring"),
-            ("ppr", "personalized_pagerank"),
-            ("mis", "maximal_independent_set"),
-            ("ktruss", "ktruss_decomposition"),
+            (name, spec.entry.__name__)
+            for name, spec in REGISTRY.items()
+            if "policy" in spec.fields
         ],
     )
     def test_policy_reaches_the_entry_point(
         self, graph_file, algorithm, entry, monkeypatch, capsys
     ):
-        import repro.algorithms as alg
-
-        real = getattr(alg, entry)
-        seen = []
-
-        def spy(*args, **kwargs):
-            seen.append(kwargs.get("policy"))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(alg, entry, spy)
+        seen = _spy_on_policy(monkeypatch, algorithm)
         assert main(["run", algorithm, graph_file, "--policy", "seq"]) == 0
         assert seen == ["seq"]
 
-    @pytest.mark.parametrize("algorithm", ["scc", "communities"])
+    @pytest.mark.parametrize(
+        "algorithm",
+        [name for name, spec in REGISTRY.items() if "policy" not in spec.fields],
+    )
     def test_policy_is_a_usage_error_without_a_policy_parameter(
         self, graph_file, algorithm, capsys
     ):
-        with pytest.raises(SystemExit, match="--policy"):
+        with pytest.raises(SystemExit) as exc:
             main(["run", algorithm, graph_file, "--policy", "seq"])
+        assert exc.value.code == 2
+        assert "--policy" in capsys.readouterr().err
         assert main(["run", algorithm, graph_file]) == 0
 
     def test_sssp_matches_library(self, graph_file, tmp_path):
@@ -218,13 +225,16 @@ class TestInterrupt:
     """SIGINT/SIGTERM on recording commands flush telemetry, exit 130."""
 
     def _boom(self, monkeypatch, exc_factory):
-        import repro.algorithms
+        spec = REGISTRY["pagerank"]
 
+        @functools.wraps(spec.entry)
         def interrupted_pagerank(*args, **kwargs):
             raise exc_factory()
 
-        monkeypatch.setattr(
-            repro.algorithms, "pagerank", interrupted_pagerank
+        monkeypatch.setitem(
+            REGISTRY,
+            "pagerank",
+            dataclasses.replace(spec, entry=interrupted_pagerank),
         )
 
     def test_keyboard_interrupt_exits_130_with_ledger_record(

@@ -49,7 +49,8 @@ from repro.observability.probe import (
     install_probe,
     uninstall_probe,
 )
-from repro.observability.profile import PROFILED_ALGORITHMS, profile_algorithm
+from repro.algorithms import REGISTRY
+from repro.observability.profile import profile_algorithm
 from repro.observability.span import Span, SpanEvent
 from repro.observability.tracer import Tracer
 from repro.observability.validate import validate_file
@@ -437,13 +438,13 @@ def test_export_is_silent_without_drops(tmp_path, capsys):
 # -- profile runner -------------------------------------------------------------------
 
 
-def test_profile_algorithm_covers_registry(grid):
-    for name in PROFILED_ALGORITHMS:
-        report = profile_algorithm(grid, name, trace=False)
-        assert report.seconds > 0
-        summary = report.summary_metrics()
-        assert summary["algorithm"] == name
-        assert summary["n_vertices"] == grid.n_vertices
+@pytest.mark.parametrize("name", list(REGISTRY))
+def test_profile_algorithm_covers_registry(grid, name):
+    report = profile_algorithm(grid, name, trace=False)
+    assert report.seconds > 0
+    summary = report.summary_metrics()
+    assert summary["algorithm"] == name
+    assert summary["n_vertices"] == grid.n_vertices
 
 
 def test_profile_algorithm_unknown_name(grid):

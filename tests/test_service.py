@@ -8,6 +8,8 @@ only what the socket adds: framing, concurrency, and zero leaked
 threads after stop.
 """
 
+import dataclasses
+import functools
 import json
 import os
 import threading
@@ -15,6 +17,7 @@ import time
 
 import pytest
 
+from repro.algorithms import REGISTRY
 from repro.errors import (
     AdmissionRejected,
     CatalogError,
@@ -63,7 +66,7 @@ class TestProtocol:
         )
         assert req["op"] == "query"
         assert req["tenant"] == "default"
-        assert req["params"] == {}
+        assert req["params"] == REGISTRY["pagerank"].defaults
         assert req["timeout_s"] is None
 
     @pytest.mark.parametrize(
@@ -97,32 +100,27 @@ class TestProtocol:
 
 @pytest.mark.parametrize(
     "algorithm, entry",
-    [
-        ("pagerank", "pagerank"),
-        ("ppr", "personalized_pagerank"),
-        ("bfs", "bfs"),
-        ("sssp", "sssp"),
-        ("cc", "connected_components"),
-    ],
+    [(name, spec.entry.__name__) for name, spec in REGISTRY.items() if spec.service],
 )
 def test_query_policy_reaches_the_entry_point(algorithm, entry, monkeypatch):
-    import repro.algorithms as alg
     from repro.graph.generators import grid_2d
     from repro.service.queries import execute_query
 
-    real = getattr(alg, entry)
+    spec = REGISTRY[algorithm]
     seen = []
 
+    @functools.wraps(spec.entry)
     def spy(*args, **kwargs):
         seen.append(kwargs.get("policy"))
-        return real(*args, **kwargs)
+        return spec.entry(*args, **kwargs)
 
-    monkeypatch.setattr(alg, entry, spy)
+    monkeypatch.setitem(REGISTRY, algorithm, dataclasses.replace(spec, entry=spy))
     graph = grid_2d(5, 5, weighted=True, seed=1)
-    execute_query(graph, algorithm, {"source": 0, "policy": "seq"})
+    source = {"source": 0} if "source" in spec.fields else {}
+    execute_query(graph, algorithm, {**source, "policy": "seq"})
     assert seen == ["seq"]
     with pytest.raises(ProtocolError):
-        execute_query(graph, algorithm, {"source": 0, "policy": "warp"})
+        execute_query(graph, algorithm, {**source, "policy": "warp"})
 
 
 # -- admission -------------------------------------------------------------------------
