@@ -133,7 +133,7 @@ class TestCohesion:
 
 @pytest.mark.benchmark(group="E1-schedulers")
 class TestSchedulerComparison:
-    """Shared-queue vs work-stealing async engines on the same SSSP."""
+    """The shared-queue async engine on an SSSP task body."""
 
     @staticmethod
     def _run_with(scheduler_cls, graph, **kwargs):
@@ -165,10 +165,4 @@ class TestSchedulerComparison:
         from repro.execution import AsyncScheduler
 
         dist = benchmark(self._run_with, AsyncScheduler, bench_rmat)
-        assert dist[0] == 0.0
-
-    def test_work_stealing_sssp(self, benchmark, bench_rmat):
-        from repro.execution import WorkStealingScheduler
-
-        dist = benchmark(self._run_with, WorkStealingScheduler, bench_rmat, seed=0)
         assert dist[0] == 0.0

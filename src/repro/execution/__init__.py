@@ -46,7 +46,6 @@ from repro.execution.policy import (
 from repro.execution.atomics import AtomicArray, bulk_min_relax, bulk_max_relax
 from repro.execution.thread_pool import ThreadPool, get_pool
 from repro.execution.scheduler import AsyncScheduler
-from repro.execution.stealing import WorkStealingScheduler
 
 __all__ = [
     "ExecutionPolicy",
@@ -67,5 +66,4 @@ __all__ = [
     "ThreadPool",
     "get_pool",
     "AsyncScheduler",
-    "WorkStealingScheduler",
 ]

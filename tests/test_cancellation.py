@@ -4,7 +4,7 @@ that a killed query leaves every execution engine reusable.
 The service story rests on two properties exercised here:
 
 * **Propagation** — an ambient :class:`CancelToken` stops the BSP
-  enactor, both async schedulers, and the Pregel engine at their next
+  enactor, the async scheduler, and the Pregel engine at their next
   superstep/quiescence boundary, surfacing
   :class:`DeadlineExceeded` / :class:`QueryCancelled` (never a bare
   ``TimeoutError``, which retry policies would treat as transient).
@@ -30,7 +30,6 @@ from repro.errors import (
     QueryCancelled,
 )
 from repro.execution.scheduler import AsyncScheduler
-from repro.execution.stealing import WorkStealingScheduler
 from repro.graph.generators import grid_2d, with_random_weights
 from repro.observability import Probe
 from repro.resilience import (
@@ -229,22 +228,6 @@ class TestSchedulerCancellation:
 
     def test_async_scheduler_deadline_aborts(self):
         scheduler = AsyncScheduler(num_workers=3, poll_timeout=0.005)
-        with CancelToken.after(0.1):
-            with pytest.raises(DeadlineExceeded):
-                scheduler.run(self._endless(64), range(8), 64)
-
-    def test_stealing_scheduler_explicit_cancel_aborts(self):
-        baseline = threading.active_count()
-        scheduler = WorkStealingScheduler(num_workers=3, poll_timeout=0.005)
-        token = CancelToken(label="steal-abort")
-        token.cancel("test abort")
-        with token:
-            with pytest.raises(QueryCancelled):
-                scheduler.run(self._endless(64), range(8), 64)
-        assert settle_threads(baseline) <= baseline
-
-    def test_stealing_scheduler_deadline_aborts(self):
-        scheduler = WorkStealingScheduler(num_workers=3, poll_timeout=0.005)
         with CancelToken.after(0.1):
             with pytest.raises(DeadlineExceeded):
                 scheduler.run(self._endless(64), range(8), 64)

@@ -1,5 +1,5 @@
 """Tests for the second extension wave: SBM generator, Luby MIS,
-k-truss decomposition, and the work-stealing scheduler."""
+k-truss decomposition, and the shared-queue async scheduler."""
 
 import threading
 
@@ -12,8 +12,7 @@ from repro.algorithms import (
     maximal_independent_set,
     verify_mis,
 )
-from repro.errors import ExecutionPolicyError
-from repro.execution import AsyncScheduler, WorkStealingScheduler
+from repro.execution import AsyncScheduler
 from repro.graph import from_edge_list
 from repro.graph.generators import (
     chain,
@@ -167,24 +166,8 @@ class TestKTruss:
         assert by_pair[(5, 6)] == 2
 
 
-class TestWorkStealingScheduler:
-    def test_processes_everything(self):
-        sched = WorkStealingScheduler(4, seed=0)
-        seen = []
-        lock = threading.Lock()
-
-        def process(item, push):
-            with lock:
-                seen.append(item)
-            if item < 64:
-                push(2 * item)
-                push(2 * item + 1)
-
-        total = sched.run(process, [1], 1 << 10, timeout=15)
-        assert total == 127
-        assert sorted(seen) == list(range(1, 128))
-
-    def test_agrees_with_shared_queue_scheduler(self):
+class TestAsyncScheduler:
+    def test_processes_every_spawned_item(self):
         def make_process(store, lock):
             def process(item, push):
                 with lock:
@@ -195,74 +178,8 @@ class TestWorkStealingScheduler:
             return process
 
         seeds = list(range(0, 60, 2))
-        results = []
-        for sched in (AsyncScheduler(3), WorkStealingScheduler(3, seed=1)):
-            store: list = []
-            lock = threading.Lock()
-            sched.run(make_process(store, lock), seeds, 1000, timeout=15)
-            results.append(sorted(store))
-        assert results[0] == results[1]
-
-    def test_stealing_happens_under_imbalance(self):
-        """All work seeded on one worker's deque as a wide tree: the
-        other workers must steal.  Tasks carry a tiny delay so the tree
-        stays live long enough for thieves to arrive (instant tasks can
-        legitimately drain before any steal lands)."""
-        import time
-
-        sched = WorkStealingScheduler(4, seed=3)
-
-        def wide(item, push):
-            if item < 1000:
-                push(2 * item)
-                push(2 * item + 1)
-            time.sleep(0.0001)
-
-        total = sched.run(wide, [1], 1 << 12, timeout=30)
-        assert total == 1999
-        assert sched.steals > 0
-
-    def test_exception_propagates(self):
-        sched = WorkStealingScheduler(2, seed=4)
-
-        def process(item, push):
-            raise ValueError("boom")
-
-        with pytest.raises(ValueError, match="boom"):
-            sched.run(process, [1], 10, timeout=10)
-
-    def test_empty_initial(self):
-        assert (
-            WorkStealingScheduler(2).run(lambda i, p: None, [], 10, timeout=5)
-            == 0
-        )
-
-    def test_invalid_workers(self):
-        with pytest.raises(ExecutionPolicyError):
-            WorkStealingScheduler(0)
-
-    def test_sssp_on_stealing_scheduler(self, weighted_grid):
-        """The async SSSP task body runs unchanged on the stealing engine
-        — engines are interchangeable behind the ProcessFn contract."""
-        from repro.baselines import dijkstra
-        from repro.execution.atomics import AtomicArray
-        from repro.types import INF, VALUE_DTYPE
-
-        n = weighted_grid.n_vertices
-        dist = np.full(n, INF, dtype=VALUE_DTYPE)
-        dist[0] = 0.0
-        atomic = AtomicArray(dist)
-        csr = weighted_grid.csr()
-
-        def process(v, push):
-            base = atomic.load(v)
-            nbrs = csr.get_neighbors(v)
-            wts = csr.get_neighbor_weights(v)
-            for k in range(nbrs.shape[0]):
-                u = int(nbrs[k])
-                nd = base + float(wts[k])
-                if nd < atomic.min_at(u, nd):
-                    push(u)
-
-        WorkStealingScheduler(4, seed=5).run(process, [0], n, timeout=60)
-        assert np.allclose(dist, dijkstra(weighted_grid, 0), atol=1e-2)
+        store: list = []
+        lock = threading.Lock()
+        AsyncScheduler(3).run(make_process(store, lock), seeds, 1000, timeout=15)
+        # Each seed divisible by 3 spawns one odd item, which spawns none.
+        assert sorted(store) == sorted(seeds + [s + 7 for s in seeds if s % 3 == 0])
