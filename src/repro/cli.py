@@ -443,7 +443,7 @@ def _run_body(args: argparse.Namespace, probe) -> int:
     name = args.algorithm
     spec = REGISTRY[name]
     plan = _plan_from_flags(args)
-    with probe or NULL_PROBE:
+    with probe if probe is not None else NULL_PROBE:
         g = _load_graph(args.graph, directed=not args.undirected)
         t0 = time_mod.perf_counter()
         result = spec.run(g, plan)
