@@ -9,9 +9,10 @@ import pytest
 from repro.algorithms import REGISTRY, AlgorithmSpec
 from repro.algorithms.registry import WIRE_TYPES
 from repro.cli import main
-from repro.graph.generators import grid_2d
+from repro.graph.generators import grid_2d, rmat
 from repro.graph.io import save_graph_npz
 from repro.observability.ledger import RunLedger
+from repro.observability.probe import Probe
 from repro.service import GraphCatalog, QueryService, ServiceConfig
 
 PLAN_FIELDS = set(WIRE_TYPES) | {"resilience"}
@@ -32,6 +33,38 @@ def test_consumed_fields_are_parameters_of_the_entry(name):
     for field in spec.fields:
         assert spec.renamed.get(field, field) in parameters, field
     assert set(spec.defaults) == set(spec.fields)
+
+
+@pytest.fixture(scope="module")
+def rmat8():
+    return rmat(8, 8, weighted=True, seed=2)
+
+
+#: The asynchronous entry runs on the AsyncEnactor, whose one
+#: quiescence-driven "iteration" is its ``async:run`` span.
+LOOP_SPAN = {"sssp_async": "async:run"}
+
+
+@pytest.mark.parametrize("name", list(REGISTRY))
+def test_every_entry_runs_its_supersteps_on_the_loop(name, rmat8):
+    """One span per recorded superstep, at least one, and real work."""
+    probe = Probe(trace=True)
+    with probe:
+        result = REGISTRY[name].run(rmat8, {})
+    spans = [
+        s for s in probe.tracer.spans()
+        if s.name == LOOP_SPAN.get(name, "superstep")
+    ]
+    metrics = probe.metrics
+    stats = getattr(result, "stats", None)
+    if stats is None:  # an entry returning its value array
+        supersteps = metrics.counter("loop.supersteps").value
+        edges = metrics.counter("loop.edges_expanded").value
+    else:
+        supersteps, edges = stats.num_iterations, stats.total_edges_touched
+    assert supersteps >= 1
+    assert len(spans) == supersteps
+    assert edges > 0
 
 
 def test_the_service_runs_exactly_the_deadline_aware_entries():
