@@ -23,12 +23,16 @@ class LoopState:
 
     ``context`` is an algorithm-owned scratch dict (e.g. PageRank puts
     its per-iteration delta there) so conditions stay decoupled from
-    algorithm internals.
+    algorithm internals.  ``edges_scanned`` is the step's own count of
+    the edges it read, for a step whose frontier is not the set of
+    sources it scanned (edge ids, a component set); left ``None``, the
+    enactor counts the frontier's out-degree sum.
     """
 
     iteration: int = 0
     frontier: Optional[Frontier] = None
     context: Dict[str, object] = field(default_factory=dict)
+    edges_scanned: Optional[int] = None
 
 
 class ConvergenceCondition(abc.ABC):

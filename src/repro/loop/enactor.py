@@ -147,15 +147,23 @@ class Enactor:
                 in_size = frontier.size() if frontier is not None else 0
                 edges_touched = 0
                 if self.collect_stats:
-                    if frontier is not None and in_size:
+                    t0 = time.perf_counter()
+                out = self._run_step(step, frontier, state, resilience)
+                if self.collect_stats:
+                    seconds = time.perf_counter() - t0
+                    if state.edges_scanned is not None:
+                        edges_touched = state.edges_scanned
+                        state.edges_scanned = None
+                    elif in_size:
+                        # Steps read their input frontier, never rewrite
+                        # it, so it still names the sources scanned.
                         active = (
                             frontier.indices_view()
                             if isinstance(frontier, SparseFrontier)
                             else frontier.to_indices()
                         )
                         edges_touched = int(np.add.reduce(degrees.take(active)))
-                    t0 = time.perf_counter()
-                frontier = self._run_step(step, frontier, state, resilience)
+                frontier = out
                 if probe.enabled:
                     # Superstep summary: the output frontier size closes
                     # the loop for the analysis engine's frontier
@@ -175,7 +183,7 @@ class Enactor:
                             iteration=state.iteration - 1,
                             frontier_size=in_size,
                             edges_touched=edges_touched,
-                            seconds=time.perf_counter() - t0,
+                            seconds=seconds,
                         )
                     )
                 converged = self.convergence(state)
