@@ -10,14 +10,14 @@ a filter-driven algorithm complementing the advance-driven traversals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
+from repro.frontier.sparse import SparseFrontier
 from repro.graph.graph import Graph
 from repro.graph.builder import as_undirected_simple
-from repro.execution.policy import ExecutionPolicy, par_vector, resolve_policy
-from repro.utils.counters import IterationStats, RunStats
+from repro.loop.enactor import Enactor
+from repro.utils.counters import RunStats
 from repro.utils.rng import SeedLike, resolve_rng
 
 #: Color value for not-yet-colored vertices.
@@ -34,37 +34,28 @@ class ColoringResult:
     stats: RunStats = field(default_factory=RunStats)
 
 
-def graph_coloring(
-    graph: Graph,
-    *,
-    policy: Union[str, ExecutionPolicy] = par_vector,
-    seed: SeedLike = 0,
-) -> ColoringResult:
+def graph_coloring(graph: Graph, *, seed: SeedLike = 0) -> ColoringResult:
     """Color vertices so no edge is monochromatic (undirected semantics).
 
     Returns a proper coloring (tests verify) using, empirically,
-    Δ+1 or fewer colors.  Deterministic given ``seed``.
+    Δ+1 or fewer colors.  Deterministic given ``seed``.  One superstep
+    is one Jones–Plassmann round over the uncolored frontier.
     """
-    resolve_policy(policy)
     rng = resolve_rng(seed)
     n = graph.n_vertices
     # A proper coloring constrains both endpoints of every edge, so a
     # directed (or self-looped) input must be symmetrized first — CSR
     # alone would hide in-neighbors and produce monochromatic arcs.
-    csr = as_undirected_simple(graph).csr()
+    undirected = as_undirected_simple(graph)
+    csr = undirected.csr()
     priorities = rng.permutation(n).astype(np.int64)
     colors = np.full(n, UNCOLORED, dtype=np.int64)
-    stats = RunStats()
-    import time as _time
 
-    uncolored = np.arange(n, dtype=np.int64)
-    rounds = 0
-    while uncolored.size:
-        t0 = _time.perf_counter()
+    def step(frontier, state):
+        uncolored = frontier.indices_view()
         # Independent set: vertices whose priority beats every uncolored
         # neighbor's.
         srcs, dsts, _, _ = csr.expand_vertices(uncolored)
-        edges_touched = srcs.shape[0]
         contested = colors[dsts] == UNCOLORED
         # Max uncolored-neighbor priority per source.
         best_rival = np.full(n, -1, dtype=np.int64)
@@ -73,6 +64,9 @@ def graph_coloring(
                 best_rival, srcs[contested], priorities[dsts[contested]]
             )
         winners = uncolored[priorities[uncolored] > best_rival[uncolored]]
+        if winners.size == 0:
+            # Cannot happen with distinct priorities; guard regardless.
+            raise RuntimeError("coloring made no progress")
         # Color each winner with its smallest feasible color.  Winners are
         # independent (no two adjacent), so no intra-round conflicts.
         for v in winners:
@@ -86,23 +80,17 @@ def graph_coloring(
                 elif u > c:
                     break
             colors[v] = c
-        uncolored = uncolored[colors[uncolored] == UNCOLORED]
-        stats.record(
-            IterationStats(
-                iteration=rounds,
-                frontier_size=int(winners.size),
-                edges_touched=edges_touched,
-                seconds=_time.perf_counter() - t0,
-            )
+        return SparseFrontier.from_indices(
+            uncolored[colors[uncolored] == UNCOLORED], n
         )
-        rounds += 1
-        if winners.size == 0 and uncolored.size:
-            # Cannot happen with distinct priorities; guard regardless.
-            raise RuntimeError("coloring made no progress")
-    stats.converged = True
+
+    stats = Enactor(undirected).run(
+        SparseFrontier.from_indices(np.arange(n), n), step
+    )
     n_colors = int(colors.max(initial=-1)) + 1
     return ColoringResult(
-        colors=colors, n_colors=n_colors, rounds=rounds, stats=stats
+        colors=colors, n_colors=n_colors, rounds=stats.num_iterations,
+        stats=stats,
     )
 
 

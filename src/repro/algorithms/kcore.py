@@ -5,19 +5,19 @@ subgraph where every vertex has degree ≥ k.  Peeling is frontier-shaped:
 for k = 1, 2, ... repeatedly *filter* the surviving vertices for degree
 < k, assign them core number k-1, remove them (decrementing neighbor
 degrees via an advance), and iterate until the removal frontier empties
-— two essential operators and a nested convergent loop.
+— two essential operators on the one convergent loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
+from repro.frontier.sparse import SparseFrontier
 from repro.graph.graph import Graph
-from repro.execution.policy import ExecutionPolicy, par_vector, resolve_policy
-from repro.utils.counters import IterationStats, RunStats
+from repro.loop.enactor import Enactor
+from repro.utils.counters import RunStats
 
 
 @dataclass
@@ -33,61 +33,40 @@ class KCoreResult:
         return np.nonzero(self.core_numbers >= k)[0]
 
 
-def kcore_decomposition(
-    graph: Graph,
-    *,
-    policy: Union[str, ExecutionPolicy] = par_vector,
-) -> KCoreResult:
+def kcore_decomposition(graph: Graph) -> KCoreResult:
     """Peel the graph into cores; undirected semantics (out-degrees on a
     symmetrized structure).
 
-    The inner loop is vectorized: each round removes *all* vertices
-    below the current threshold at once and subtracts their edge
-    contributions with a scatter-add — the bulk-synchronous reading of
-    peeling, where one round is one superstep.
+    One superstep is one peel round: its frontier is every surviving
+    vertex below the current threshold k, removed at once, their edge
+    contributions subtracted with a scatter-add.  When no survivor is
+    below k, k jumps past the smallest surviving degree — the levels in
+    between would peel nothing.
     """
-    resolve_policy(policy)
     n = graph.n_vertices
     csr = graph.csr()
     degrees = csr.degrees().astype(np.int64).copy()
     alive = np.ones(n, dtype=bool)
     core = np.zeros(n, dtype=np.int64)
-    stats = RunStats()
-    import time as _time
+    k = 0  # peel below k; the survivors of k have core number >= k
 
-    k = 1
-    iteration = 0
-    remaining = n
-    while remaining > 0:
-        t0 = _time.perf_counter()
-        edges_touched = 0
-        # Peel everything below k to a fixed point before raising k.
-        while True:
-            victims = np.nonzero(alive & (degrees < k))[0]
-            if victims.size == 0:
-                break
-            core[victims] = k - 1
-            alive[victims] = False
-            remaining -= victims.size
-            srcs, dsts, _, _ = csr.expand_vertices(victims)
-            edges_touched += srcs.shape[0]
-            if dsts.size:
-                live = alive[dsts]
-                np.subtract.at(degrees, dsts[live], 1)
-        stats.record(
-            IterationStats(
-                iteration=iteration,
-                frontier_size=int(remaining),
-                edges_touched=edges_touched,
-                seconds=_time.perf_counter() - t0,
-            )
-        )
-        iteration += 1
-        if remaining > 0:
-            # Survivors of threshold k have core number >= k.
-            core[alive] = k
-            k += 1
-    stats.converged = True
+    def victims() -> SparseFrontier:
+        nonlocal k
+        below = np.flatnonzero(alive & (degrees < k))
+        if below.size == 0 and alive.any():
+            k = int(degrees[alive].min()) + 1
+            below = np.flatnonzero(alive & (degrees < k))
+        return SparseFrontier.from_indices(below, n)
+
+    def step(frontier, state):
+        peeled = frontier.indices_view()
+        core[peeled] = k - 1
+        alive[peeled] = False
+        _, dsts, _, _ = csr.expand_vertices(peeled)
+        np.subtract.at(degrees, dsts[alive[dsts]], 1)
+        return victims()
+
+    stats = Enactor(graph).run(victims(), step)
     return KCoreResult(
         core_numbers=core, max_core=int(core.max(initial=0)), stats=stats
     )

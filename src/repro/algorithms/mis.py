@@ -12,14 +12,14 @@ so this module exposes the reusable single-shot form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
+from repro.frontier.sparse import SparseFrontier
 from repro.graph.graph import Graph
 from repro.graph.builder import as_undirected_simple
-from repro.execution.policy import ExecutionPolicy, par_vector, resolve_policy
-from repro.utils.counters import IterationStats, RunStats
+from repro.loop.enactor import Enactor
+from repro.utils.counters import RunStats
 from repro.utils.rng import SeedLike, resolve_rng
 
 
@@ -37,66 +37,52 @@ class MISResult:
         return np.nonzero(self.in_set)[0]
 
 
-def maximal_independent_set(
-    graph: Graph,
-    *,
-    policy: Union[str, ExecutionPolicy] = par_vector,
-    seed: SeedLike = 0,
-) -> MISResult:
+def maximal_independent_set(graph: Graph, *, seed: SeedLike = 0) -> MISResult:
     """Luby's MIS on an undirected graph (self-loops ignored).
 
     Returns a set that is independent (no edge inside — verified by
     tests) and maximal (every outside vertex has a neighbor inside).
-    Deterministic given ``seed``.
+    Deterministic given ``seed``.  One superstep is one Luby round over
+    the undecided frontier.
     """
-    resolve_policy(policy)
     rng = resolve_rng(seed)
     n = graph.n_vertices
     # Independence is a constraint on both endpoints of every edge, so a
     # directed input must be symmetrized — the CSR of the raw graph would
     # hide in-neighbors and let two adjacent vertices both win a round.
-    csr = as_undirected_simple(graph).csr()
+    undirected = as_undirected_simple(graph)
+    csr = undirected.csr()
     in_set = np.zeros(n, dtype=bool)
     excluded = np.zeros(n, dtype=bool)
-    stats = RunStats()
-    import time as _time
 
-    undecided = np.arange(n, dtype=np.int64)
-    rounds = 0
-    while undecided.size:
-        t0 = _time.perf_counter()
+    def step(frontier, state):
+        undecided = frontier.indices_view()
         # Fresh random priorities each round (Luby's resampling).
         priorities = rng.random(n)
-        srcs, dsts, _, _ = csr.expand_vertices(undecided.astype(np.int32))
-        edges_touched = srcs.shape[0]
+        srcs, dsts, _, _ = csr.expand_vertices(undecided)
         live = ~(in_set[dsts] | excluded[dsts]) & (srcs != dsts)
         best_rival = np.zeros(n, dtype=np.float64)
         if np.any(live):
             np.maximum.at(best_rival, srcs[live], priorities[dsts[live]])
         winners = undecided[priorities[undecided] > best_rival[undecided]]
-        in_set[winners] = True
-        # Exclude the winners' neighborhoods.
-        _, wn, _, _ = csr.expand_vertices(winners.astype(np.int32))
-        if wn.size:
-            excluded[wn[~in_set[wn]]] = True
-        undecided = undecided[
-            ~(in_set[undecided] | excluded[undecided])
-        ]
-        stats.record(
-            IterationStats(
-                iteration=rounds,
-                frontier_size=int(winners.size),
-                edges_touched=edges_touched,
-                seconds=_time.perf_counter() - t0,
-            )
-        )
-        rounds += 1
-        if winners.size == 0 and undecided.size:
+        if winners.size == 0:
             # Distinct priorities make this unreachable; guard regardless.
             raise RuntimeError("MIS made no progress")
-    stats.converged = True
+        in_set[winners] = True
+        # Exclude the winners' neighborhoods.
+        _, wn, _, _ = csr.expand_vertices(winners)
+        if wn.size:
+            excluded[wn[~in_set[wn]]] = True
+        return SparseFrontier.from_indices(
+            undecided[~(in_set[undecided] | excluded[undecided])], n
+        )
+
+    stats = Enactor(undirected).run(
+        SparseFrontier.from_indices(np.arange(n), n), step
+    )
     return MISResult(
-        in_set=in_set, size=int(in_set.sum()), rounds=rounds, stats=stats
+        in_set=in_set, size=int(in_set.sum()), rounds=stats.num_iterations,
+        stats=stats,
     )
 
 

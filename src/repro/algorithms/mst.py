@@ -11,15 +11,15 @@ over a *component* frontier rather than a vertex frontier.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
 from repro.algorithms.cc import merge_components
 from repro.errors import GraphFormatError
+from repro.frontier.sparse import SparseFrontier
 from repro.graph.graph import Graph
-from repro.execution.policy import ExecutionPolicy, par_vector, resolve_policy
-from repro.utils.counters import IterationStats, RunStats
+from repro.loop.enactor import Enactor
+from repro.utils.counters import RunStats
 
 
 @dataclass
@@ -39,18 +39,14 @@ class MSTResult:
         return int(self.edge_sources.shape[0])
 
 
-def boruvka_mst(
-    graph: Graph,
-    *,
-    policy: Union[str, ExecutionPolicy] = par_vector,
-) -> MSTResult:
+def boruvka_mst(graph: Graph) -> MSTResult:
     """Minimum spanning forest of an undirected weighted graph.
 
     Requires an undirected graph (both arcs stored); ties between equal
     weights are broken by edge index, which keeps every round's choice
-    deterministic and cycle-free.
+    deterministic and cycle-free.  The frontier is the set of components
+    that still have an outgoing arc; each round scans all m arcs.
     """
-    resolve_policy(policy)
     if graph.properties.directed:
         raise GraphFormatError("boruvka_mst requires an undirected graph")
     n = graph.n_vertices
@@ -69,23 +65,23 @@ def boruvka_mst(
     picked_u: list = []
     picked_v: list = []
     picked_w: list = []
-    stats = RunStats()
-    import time as _time
 
-    iteration = 0
-    while True:
-        t0 = _time.perf_counter()
-        cu = labels[rows]
-        cv = labels[cols]
-        cross = cu != cv
-        if not np.any(cross):
-            break
+    cand = cu = None  # the crossing arcs and their components
+
+    def crossing() -> SparseFrontier:
+        """The components with an outgoing arc under the current labels."""
+        nonlocal cand, cu
+        comp = labels[rows]
+        cand = np.nonzero(comp != labels[cols])[0]
+        cu = comp[cand]
+        return SparseFrontier.from_indices(np.unique(cu), n)
+
+    def step(frontier, state):
         # Segmented arg-min: per component, its lightest outgoing edge.
         # Order candidates by (component, weight, canonical pair key); the
         # first row per component wins.
-        cand = np.nonzero(cross)[0]
-        order = np.lexsort((pair_key[cand], weights[cand], cu[cand]))
-        sorted_comp = cu[cand][order]
+        order = np.lexsort((pair_key[cand], weights[cand], cu))
+        sorted_comp = cu[order]
         first = np.empty(sorted_comp.shape[0], dtype=bool)
         first[0] = True
         first[1:] = sorted_comp[1:] != sorted_comp[:-1]
@@ -103,16 +99,10 @@ def boruvka_mst(
 
         # Merge along every winner: hook and pointer-jump to stars.
         merge_components(labels, rows[winners], cols[winners])
-        stats.record(
-            IterationStats(
-                iteration=iteration,
-                frontier_size=int(winners.shape[0]),
-                edges_touched=m,
-                seconds=_time.perf_counter() - t0,
-            )
-        )
-        iteration += 1
-    stats.converged = True
+        state.edges_scanned = m
+        return crossing()
+
+    stats = Enactor(graph).run(crossing(), step)
 
     if picked_u:
         eu = np.concatenate(picked_u)

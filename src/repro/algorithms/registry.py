@@ -175,11 +175,11 @@ REGISTRY: Dict[str, AlgorithmSpec] = {
         lambda g, r: {"triangles": int(r.total)}, "triangles: {triangles}",
     ),
     "kcore": AlgorithmSpec(
-        kcore_decomposition, ("policy",), "core_numbers",
+        kcore_decomposition, (), "core_numbers",
         lambda g, r: {"degeneracy": int(r.max_core)}, "degeneracy: {degeneracy}",
     ),
     "color": AlgorithmSpec(
-        graph_coloring, ("policy", "seed"), "colors", _count("n_colors"),
+        graph_coloring, ("seed",), "colors", _count("n_colors"),
         "colors: {n_colors}",
     ),
     "ppr": AlgorithmSpec(
@@ -188,7 +188,7 @@ REGISTRY: Dict[str, AlgorithmSpec] = {
         renamed={"source": "seeds"},
     ),
     "mis": AlgorithmSpec(
-        maximal_independent_set, ("policy", "seed"), "in_set", _count("size"),
+        maximal_independent_set, ("seed",), "in_set", _count("size"),
         "independent set size: {size}",
     ),
     "ktruss": AlgorithmSpec(

@@ -613,9 +613,7 @@ register(
 
 
 def _run_kcore(graph, variant, ctx):
-    return algorithms.kcore_decomposition(
-        graph, policy=variant.policy or "par_vector"
-    ).core_numbers
+    return algorithms.kcore_decomposition(graph).core_numbers
 
 
 def _baseline_kcore(graph, ctx):
@@ -628,7 +626,7 @@ register(
         run=_run_kcore,
         baseline=_baseline_kcore,
         compare=_cmp_exact,
-        axes=Axes(policies=STANDARD_POLICIES),
+        axes=Axes(),
         baseline_name="brute_peeling",
         comparator_name="exact",
         requires=("has_vertices", "undirected"),
@@ -684,7 +682,7 @@ register(
 
 
 def _run_mst(graph, variant, ctx):
-    res = algorithms.boruvka_mst(graph, policy=variant.policy or "par_vector")
+    res = algorithms.boruvka_mst(graph)
     return {
         "total_weight": res.total_weight,
         "n_components": res.n_components,
@@ -723,14 +721,10 @@ register(
         run=_run_mst,
         baseline=_baseline_mst,
         compare=_cmp_mst,
-        axes=Axes(policies=STANDARD_POLICIES),
+        axes=Axes(),
         baseline_name="kruskal",
         comparator_name="float-atol+forest-validity",
         requires=("has_vertices", "undirected"),
-        benign_races=(
-            "equal-weight edge ties break differently per policy; the "
-            "forest weight and component structure are invariant"
-        ),
         description="Borůvka minimum spanning forest",
     )
 )
@@ -740,9 +734,7 @@ register(
 
 
 def _run_color(graph, variant, ctx):
-    res = algorithms.graph_coloring(
-        graph, policy=variant.policy or "par_vector", seed=ctx.seed
-    )
+    res = algorithms.graph_coloring(graph, seed=ctx.seed)
     return {"colors": res.colors, "n_colors": res.n_colors}
 
 
@@ -776,24 +768,18 @@ register(
         run=_run_color,
         baseline=None,
         compare=_cmp_color,
-        axes=Axes(policies=STANDARD_POLICIES),
+        axes=Axes(),
         baseline_name="validity-predicate",
         comparator_name="predicate",
         requires=("has_vertices",),
         excludes=("self_loops",),
-        benign_races=(
-            "Jones-Plassmann round composition varies with scheduling; "
-            "any proper coloring within the greedy bound is correct"
-        ),
         description="greedy parallel coloring (proper-coloring predicate)",
     )
 )
 
 
 def _run_mis(graph, variant, ctx):
-    res = algorithms.maximal_independent_set(
-        graph, policy=variant.policy or "par_vector", seed=ctx.seed
-    )
+    res = algorithms.maximal_independent_set(graph, seed=ctx.seed)
     return res.in_set
 
 
@@ -810,15 +796,11 @@ register(
         run=_run_mis,
         baseline=None,
         compare=_cmp_mis,
-        axes=Axes(policies=STANDARD_POLICIES),
+        axes=Axes(),
         baseline_name="validity-predicate",
         comparator_name="predicate",
         requires=("has_vertices",),
         excludes=("self_loops",),
-        benign_races=(
-            "Luby lottery winners depend on scheduling; any maximal "
-            "independent set is correct"
-        ),
         description="maximal independent set (independence+maximality predicate)",
     )
 )
