@@ -15,7 +15,10 @@ from typing import Union
 
 import numpy as np
 
+from repro.frontier.sparse import SparseFrontier
 from repro.graph.graph import Graph
+from repro.loop.convergence import AnyOf, MaxIterations, ValuesConverged
+from repro.loop.enactor import Enactor
 from repro.execution.policy import ExecutionPolicy, par_vector, resolve_policy
 from repro.utils.counters import RunStats
 from repro.operators.sum_aggregate import graph_aggregate
@@ -32,6 +35,13 @@ class HITSResult:
     stats: RunStats = field(default_factory=RunStats)
 
 
+def _normalized(x: np.ndarray) -> np.ndarray:
+    norm = np.linalg.norm(x)
+    if norm > 0:
+        x /= norm
+    return x
+
+
 def hits(
     graph: Graph,
     *,
@@ -44,7 +54,7 @@ def hits(
 
     ``auth = Aᵀ·hub`` (pull) then ``hub = A·auth`` (push), L2-normalized
     each round; stops when both vectors move less than ``tolerance`` in
-    max-norm.
+    max-norm — PageRank's loop shape over an all-vertex frontier.
     """
     from repro.execution.backend import resolve_backend
 
@@ -55,33 +65,41 @@ def hits(
         empty = np.empty(0)
         return HITSResult(empty, empty, 0, True)
     aggregate = graph_aggregate(graph)
-    hubs = np.full(n, 1.0 / np.sqrt(n), dtype=np.float64)
-    auth = hubs.copy()
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        new_auth = aggregate.scatter(hubs)
-        norm = np.linalg.norm(new_auth)
-        if norm > 0:
-            new_auth /= norm
-        new_hubs = aggregate.gather(new_auth)
-        norm = np.linalg.norm(new_hubs)
-        if norm > 0:
-            new_hubs /= norm
-        delta = max(
-            float(np.abs(new_auth - auth).max(initial=0.0)),
-            float(np.abs(new_hubs - hubs).max(initial=0.0)),
-        )
-        auth, hubs = new_auth, new_hubs
-        if delta <= tolerance:
-            converged = True
-            break
-    stats = RunStats()
+    start = np.full(n, 1.0 / np.sqrt(n), dtype=np.float64)
+    # (auth, hubs) now and one superstep ago.
+    box = {"now": (start.copy(), start), "before": None}
+
+    def step(frontier, state):
+        auth = _normalized(aggregate.scatter(box["now"][1]))
+        hubs = _normalized(aggregate.gather(auth))
+        box["before"], box["now"] = box["now"], (auth, hubs)
+        return frontier
+
+    # Both vectors under one max-norm: the L-inf movement of the pair.
+    convergence = AnyOf(
+        [
+            MaxIterations(max_iterations),
+            ValuesConverged(
+                lambda s: np.concatenate(box["now"]),
+                tolerance=tolerance,
+                norm="linf",
+            ),
+        ]
+    )
+    stats = Enactor(
+        graph, convergence=convergence, max_iterations=max_iterations + 1
+    ).run(SparseFrontier.from_indices(np.arange(n), n), step)
+    auth, hubs = box["now"]
+    # Stopped by the fixed point, not the cap: the last move was small.
+    converged = box["before"] is not None and float(
+        np.abs(np.concatenate(box["now"]) - np.concatenate(box["before"]))
+        .max(initial=0.0)
+    ) <= tolerance
     stats.converged = converged
     return HITSResult(
         hubs=hubs,
         authorities=auth,
-        iterations=iterations,
+        iterations=stats.num_iterations,
         converged=converged,
         stats=stats,
     )

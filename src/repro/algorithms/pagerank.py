@@ -78,6 +78,34 @@ def pagerank(
     from repro.execution.backend import resolve_backend
 
     resolve_backend(backend, "pagerank")  # validates; both names run this driver
+    return power_iteration(
+        graph,
+        None,
+        initial_ranks=initial_ranks,
+        damping=damping,
+        tolerance=tolerance,
+        max_iterations=max_iterations,
+        policy=policy,
+    )
+
+
+def power_iteration(
+    graph: Graph,
+    teleport: Optional[np.ndarray],
+    *,
+    initial_ranks: Optional[np.ndarray],
+    damping: float,
+    tolerance: float,
+    max_iterations: int,
+    policy: Union[str, ExecutionPolicy],
+) -> PageRankResult:
+    """Damped power iteration to an L1 fixed point.
+
+    Teleport and dangling mass go uniformly to every vertex when
+    ``teleport`` is ``None`` (global PageRank), else in proportion to
+    the ``teleport`` vector (personalized PageRank), which is then also
+    the default first iterate.
+    """
     policy = resolve_policy(policy)
     if not (0.0 <= damping <= 1.0):
         raise ValueError(f"damping must be in [0, 1], got {damping}")
@@ -86,15 +114,6 @@ def pagerank(
         return PageRankResult(
             ranks=np.empty(0), iterations=0, delta=0.0, converged=True
         )
-    csr = graph.csr()
-    aggregate = graph_aggregate(graph)
-    # Rank mass flows along edges in proportion to edge weight (degrees
-    # for unit weights) — the same convention as networkx, so oracles
-    # compare directly on weighted graphs.
-    out_weight = aggregate.gather(np.ones(n, dtype=np.float64))
-    dangling = np.flatnonzero(out_weight == 0)
-    # x / inf == 0: dangling vertices share nothing, in one pass.
-    out_weight[dangling] = np.inf
     if initial_ranks is not None:
         if initial_ranks.shape != (n,):
             raise ValueError(
@@ -105,8 +124,19 @@ def pagerank(
         total = float(ranks.sum())
         if total > 0:  # renormalize: a stale vector still sums to ~1
             ranks /= total
-    else:
+    elif teleport is None:
         ranks = np.full(n, 1.0 / n, dtype=np.float64)
+    else:
+        ranks = teleport.copy()
+    csr = graph.csr()
+    aggregate = graph_aggregate(graph)
+    # Rank mass flows along edges in proportion to edge weight (degrees
+    # for unit weights) — the same convention as networkx, so oracles
+    # compare directly on weighted graphs.
+    out_weight = aggregate.gather(np.ones(n, dtype=np.float64))
+    dangling = np.flatnonzero(out_weight == 0)
+    # x / inf == 0: dangling vertices share nothing, in one pass.
+    out_weight[dangling] = np.inf
 
     state_box = {"ranks": ranks, "delta": np.inf, "iterations": 0}
 
@@ -158,8 +188,15 @@ def pagerank(
             incoming = incoming_scalar(
                 r, parallel=not isinstance(policy, SequencedPolicy)
             )
-        dangling_mass = float(r.take(dangling).sum()) / n
-        new_ranks = (1.0 - damping) / n + damping * (incoming + dangling_mass)
+        dangling_mass = float(r.take(dangling).sum())
+        if teleport is None:
+            new_ranks = (1.0 - damping) / n + damping * (
+                incoming + dangling_mass / n
+            )
+        else:
+            new_ranks = (1.0 - damping) * teleport + damping * (
+                incoming + dangling_mass * teleport
+            )
         state_box["delta"] = float(np.abs(new_ranks - r).sum())
         state_box["ranks"] = new_ranks
         state.context["delta"] = state_box["delta"]
