@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.frontier.sparse import SparseFrontier
 from repro.graph.graph import Graph
+from repro.loop.enactor import Enactor
 from repro.operators.advance import neighbors_expand
 from repro.operators.conditions import bulk_condition
 from repro.execution.policy import ExecutionPolicy, par_vector, resolve_policy
@@ -66,7 +67,8 @@ def betweenness_centrality(
         else np.asarray(list(sources), dtype=VERTEX_DTYPE)
     )
     centrality = np.zeros(n, dtype=np.float64)
-    stats = RunStats()
+    result = BCResult(centrality=centrality, n_sources=len(roots))
+    enactor = Enactor(graph)
 
     for s in roots:
         s = int(s)
@@ -76,27 +78,29 @@ def betweenness_centrality(
         sigma[s] = 1.0
         frontiers = [np.asarray([s], dtype=VERTEX_DTYPE)]
 
-        # Forward: level-synchronous BFS accumulating path counts.
-        level = 0
-        while frontiers[-1].size:
-            current = frontiers[-1]
+        # Forward: level-synchronous BFS accumulating path counts, one
+        # level per superstep.
+        def step(frontier, state):
+            level = state.iteration
 
             @bulk_condition
-            def count_paths(srcs, dsts, edges, weights, _level=level):
-                on_next = (levels[dsts] == -1) | (levels[dsts] == _level + 1)
+            def count_paths(srcs, dsts, edges, weights):
+                on_next = (levels[dsts] == -1) | (levels[dsts] == level + 1)
                 fresh = levels[dsts] == -1
                 if np.any(fresh):
-                    levels[dsts[fresh]] = _level + 1
-                take = on_next & (levels[dsts] == _level + 1)
+                    levels[dsts[fresh]] = level + 1
+                take = on_next & (levels[dsts] == level + 1)
                 if np.any(take):
                     np.add.at(sigma, dsts[take], sigma[srcs[take]])
                 return take & fresh
 
-            f = SparseFrontier.from_indices(current, n)
-            out = neighbors_expand(policy, graph, f, count_paths)
-            nxt = np.unique(out.to_indices())
-            level += 1
-            frontiers.append(nxt)
+            out = neighbors_expand(policy, graph, frontier, count_paths)
+            frontiers.append(np.unique(out.to_indices()))
+            return SparseFrontier.from_indices(frontiers[-1], n)
+
+        result.stats.iterations += enactor.run(
+            SparseFrontier.from_indices(frontiers[0], n), step
+        ).iterations
         frontiers.pop()  # drop the empty terminator
 
         # Backward: dependency accumulation over the BFS dag.
@@ -128,5 +132,5 @@ def betweenness_centrality(
         centrality *= scale
         if sources is not None and len(roots) < n and len(roots) > 0:
             centrality *= n / len(roots)
-    stats.converged = True
-    return BCResult(centrality=centrality, n_sources=len(roots), stats=stats)
+    result.stats.converged = True
+    return result

@@ -14,12 +14,14 @@ random order within each round, the standard stabilization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
+from repro.frontier.sparse import SparseFrontier
 from repro.graph.graph import Graph
-from repro.utils.counters import IterationStats, RunStats
+from repro.loop.convergence import EmptyFrontier, MaxIterations
+from repro.loop.enactor import Enactor
+from repro.utils.counters import RunStats
 from repro.utils.rng import SeedLike, resolve_rng
 
 
@@ -48,28 +50,22 @@ def label_propagation_communities(
     Deterministic given ``seed`` (sweep order and tie-breaking are both
     seeded).  Ties between equally frequent neighbor labels keep the
     current label when it is among the winners, else pick the smallest —
-    the common convention that guarantees termination.
+    the common convention that guarantees termination.  One superstep
+    is one sweep over the frontier; the loop stops when a sweep changes
+    nothing or after ``max_rounds``.
     """
     rng = resolve_rng(seed)
     n = graph.n_vertices
     csr = graph.csr()
     labels = np.arange(n, dtype=np.int64)
-    stats = RunStats()
-    import time as _time
 
-    active = np.ones(n, dtype=bool)
-    rounds = 0
-    for rounds in range(1, max_rounds + 1):
-        t0 = _time.perf_counter()
-        order = rng.permutation(np.nonzero(active)[0])
-        edges_touched = 0
+    def step(frontier, state):
         changed: list = []
-        for v in order:
+        for v in rng.permutation(frontier.indices_view()):
             v = int(v)
             nbrs = csr.get_neighbors(v)
             if nbrs.shape[0] == 0:
                 continue
-            edges_touched += nbrs.shape[0]
             nbr_labels = labels[nbrs]
             uniq, counts = np.unique(nbr_labels, return_counts=True)
             best = counts.max()
@@ -79,30 +75,25 @@ def label_propagation_communities(
             new_label = int(winners.min())
             labels[v] = new_label
             changed.append(v)
-        stats.record(
-            IterationStats(
-                iteration=rounds - 1,
-                frontier_size=len(changed),
-                edges_touched=edges_touched,
-                seconds=_time.perf_counter() - t0,
-            )
-        )
-        if not changed:
-            break
         # Next round's candidates: the changed vertices' neighborhoods.
-        active[:] = False
-        changed_arr = np.asarray(changed, dtype=np.int32)
-        active[changed_arr] = True
-        _, dsts, _, _ = csr.expand_vertices(changed_arr)
-        if dsts.size:
+        active = np.zeros(n, dtype=bool)
+        if changed:
+            changed_arr = np.asarray(changed, dtype=np.int32)
+            active[changed_arr] = True
+            _, dsts, _, _ = csr.expand_vertices(changed_arr)
             active[dsts] = True
-    stats.converged = True
+        return SparseFrontier.from_indices(np.nonzero(active)[0], n)
+
+    enactor = Enactor(
+        graph, convergence=EmptyFrontier() | MaxIterations(max_rounds)
+    )
+    stats = enactor.run(SparseFrontier.from_indices(np.arange(n), n), step)
     # Compact labels to 0..k-1.
     uniq, compact = np.unique(labels, return_inverse=True)
     return CommunityResult(
         labels=compact.astype(np.int64),
         n_communities=int(uniq.shape[0]),
-        rounds=rounds,
+        rounds=stats.num_iterations,
         stats=stats,
     )
 

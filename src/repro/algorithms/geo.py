@@ -16,12 +16,14 @@ the few-neighbor case it degrades gracefully to the centroid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
 
 import numpy as np
 
+from repro.frontier.sparse import SparseFrontier
 from repro.graph.graph import Graph
-from repro.utils.counters import IterationStats, RunStats
+from repro.loop.convergence import EmptyFrontier, MaxIterations
+from repro.loop.enactor import Enactor
+from repro.utils.counters import RunStats
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -112,19 +114,13 @@ def geolocate(
     located[known_vertices] = True
 
     csr = graph.csr()
-    stats = RunStats()
-    import time as _time
 
-    iterations = 0
-    # Frontier: vertices whose location became available last round.
-    frontier = known_vertices.copy()
-    while frontier.size and iterations < max_iterations:
-        t0 = _time.perf_counter()
-        # Candidates: unlocated out-neighbors of the frontier.
-        _, dsts, _, _ = csr.expand_vertices(frontier.astype(np.int32))
+    def step(frontier, state):
+        # Candidates: unlocated out-neighbors of the vertices located
+        # last round (the frontier).
+        _, dsts, _, _ = csr.expand_vertices(frontier.indices_view())
         candidates = np.unique(dsts[~located[dsts]]) if dsts.size else dsts
         newly = []
-        edges_touched = int(dsts.size)
         for v in candidates:
             v = int(v)
             nbrs = csr.get_neighbors(v)
@@ -134,23 +130,17 @@ def geolocate(
             la, lo = _spatial_median(lats[nbrs[mask]], lons[nbrs[mask]])
             lats[v], lons[v] = la, lo
             newly.append(v)
-        for v in newly:
-            located[v] = True
-        frontier = np.asarray(newly, dtype=np.int64)
-        stats.record(
-            IterationStats(
-                iteration=iterations,
-                frontier_size=len(newly),
-                edges_touched=edges_touched,
-                seconds=_time.perf_counter() - t0,
-            )
-        )
-        iterations += 1
-    stats.converged = True
+        located[newly] = True
+        return SparseFrontier.from_indices(newly, n)
+
+    enactor = Enactor(
+        graph, convergence=EmptyFrontier() | MaxIterations(max_iterations)
+    )
+    stats = enactor.run(SparseFrontier.from_indices(known_vertices, n), step)
     return GeoResult(
         latitudes=lats,
         longitudes=lons,
         located=located,
-        iterations=iterations,
+        iterations=stats.num_iterations,
         stats=stats,
     )

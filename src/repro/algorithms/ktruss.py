@@ -17,11 +17,13 @@ from typing import Dict, Union
 
 import numpy as np
 
+from repro.frontier.sparse import SparseFrontier
 from repro.graph.builder import from_edge_array
 from repro.graph.graph import Graph
+from repro.loop.enactor import Enactor
 from repro.operators.intersection import segmented_intersection_counts
 from repro.execution.policy import ExecutionPolicy, par, resolve_policy
-from repro.utils.counters import IterationStats, RunStats
+from repro.utils.counters import RunStats
 
 
 @dataclass
@@ -97,55 +99,50 @@ def ktruss_decomposition(
     ).astype(np.int64)
     alive = np.ones(m, dtype=bool)
     truss = np.full(m, 2, dtype=np.int64)
-    stats = RunStats()
-    import time as _time
+    degrees = simple.out_degrees()
 
     def common_neighbors(a: int, b: int) -> np.ndarray:
         return np.intersect1d(
             csr.get_neighbors(a), csr.get_neighbors(b), assume_unique=True
         )
 
-    k = 3
-    remaining = m
-    iteration = 0
-    while remaining > 0:
-        t0 = _time.perf_counter()
-        edges_touched = 0
-        while True:
-            victims = np.nonzero(alive & (support < k - 2))[0]
-            if victims.size == 0:
-                break
-            for e in victims:
-                e = int(e)
-                alive[e] = False
-                truss[e] = k - 1
-                remaining -= 1
-                a, b = int(eu[e]), int(ev[e])
-                # Decrement support of the other two edges of every
-                # triangle this edge closed with still-alive partners.
-                for w in common_neighbors(a, b):
-                    w = int(w)
-                    ea = key_to_idx.get(min(a, w) * n + max(a, w))
-                    eb = key_to_idx.get(min(b, w) * n + max(b, w))
-                    if ea is None or eb is None:
-                        continue
-                    if alive[ea] and alive[eb]:
-                        support[ea] -= 1
-                        support[eb] -= 1
-                edges_touched += 1
-        if remaining > 0:
-            truss[alive] = k
-            k += 1
-        stats.record(
-            IterationStats(
-                iteration=iteration,
-                frontier_size=int(remaining),
-                edges_touched=edges_touched,
-                seconds=_time.perf_counter() - t0,
-            )
+    k = 2  # peel support below k - 2; survivors of k are in the k-truss
+
+    def victims() -> SparseFrontier:
+        nonlocal k
+        below = np.flatnonzero(alive & (support < k - 2))
+        if below.size == 0 and alive.any():
+            k = int(support[alive].min()) + 3
+            below = np.flatnonzero(alive & (support < k - 2))
+        return SparseFrontier.from_indices(below, m)
+
+    def step(frontier, state):
+        peeled = frontier.indices_view()
+        for e in peeled:
+            e = int(e)
+            alive[e] = False
+            truss[e] = k - 1
+            a, b = int(eu[e]), int(ev[e])
+            # Decrement support of the other two edges of every
+            # triangle this edge closed with still-alive partners.
+            for w in common_neighbors(a, b):
+                w = int(w)
+                ea = key_to_idx.get(min(a, w) * n + max(a, w))
+                eb = key_to_idx.get(min(b, w) * n + max(b, w))
+                if ea is None or eb is None:
+                    continue
+                if alive[ea] and alive[eb]:
+                    support[ea] -= 1
+                    support[eb] -= 1
+        # The frontier is edge ids: the arcs read are both endpoints'
+        # neighbor lists per peeled edge.
+        state.edges_scanned = int(
+            degrees.take(eu.take(peeled)).sum()
+            + degrees.take(ev.take(peeled)).sum()
         )
-        iteration += 1
-    stats.converged = True
+        return victims()
+
+    stats = Enactor(simple).run(victims(), step)
     return KTrussResult(
         edge_u=eu,
         edge_v=ev,

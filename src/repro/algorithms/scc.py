@@ -24,9 +24,10 @@ from typing import List
 
 import numpy as np
 
+from repro.frontier.sparse import SparseFrontier
 from repro.graph.graph import Graph
-from repro.types import VERTEX_DTYPE
-from repro.utils.counters import IterationStats, RunStats
+from repro.loop.enactor import Enactor
+from repro.utils.counters import RunStats
 
 
 @dataclass
@@ -84,20 +85,12 @@ def strongly_connected_components(graph: Graph) -> SCCResult:
     bwd_targets = csc.row_indices.astype(np.int64)
 
     labels = np.full(n, -1, dtype=np.int64)
-    stats = RunStats()
-    import time as _time
 
-    worklist: List[np.ndarray] = []
-    if n:
-        worklist.append(np.arange(n, dtype=np.int64))
-    iteration = 0
-    while worklist:
-        vertices = worklist.pop()
-        if vertices.size == 0:
-            continue
-        t0 = _time.perf_counter()
+    def step(frontier, state):
+        """Solve one subproblem (the frontier); push its remainders."""
+        worklist: List[np.ndarray] = state.context["worklist"]
         active = np.zeros(n, dtype=bool)
-        active[vertices] = True
+        active[frontier.indices_view()] = True
 
         # Trim: peel vertices with no in- or out-neighbor inside the
         # active set — each is a singleton SCC.
@@ -121,39 +114,32 @@ def strongly_connected_components(graph: Graph) -> SCCResult:
             labels[trivial] = trivial  # singleton SCCs
             active[trivial] = False
         remaining = np.nonzero(active)[0]
-        if remaining.size == 0:
-            stats.record(
-                IterationStats(iteration, int(vertices.size), 0,
-                               _time.perf_counter() - t0)
-            )
-            iteration += 1
-            continue
-
-        pivot = int(remaining[0])
-        fwd = _masked_reachable(fwd_offsets, fwd_targets, pivot, active)
-        bwd = _masked_reachable(bwd_offsets, bwd_targets, pivot, active)
-        scc_mask = fwd & bwd & active
-        members = np.nonzero(scc_mask)[0]
-        labels[members] = int(members.min())
-
-        for sub_mask in (
-            fwd & ~scc_mask & active,
-            bwd & ~scc_mask & active,
-            active & ~fwd & ~bwd,
-        ):
-            sub = np.nonzero(sub_mask)[0]
-            if sub.size:
-                worklist.append(sub.astype(np.int64))
-        stats.record(
-            IterationStats(
-                iteration,
-                int(vertices.size),
-                0,
-                _time.perf_counter() - t0,
-            )
+        if remaining.size:
+            pivot = int(remaining[0])
+            fwd = _masked_reachable(fwd_offsets, fwd_targets, pivot, active)
+            bwd = _masked_reachable(bwd_offsets, bwd_targets, pivot, active)
+            scc_mask = fwd & bwd & active
+            members = np.nonzero(scc_mask)[0]
+            labels[members] = int(members.min())
+            for sub_mask in (
+                fwd & ~scc_mask & active,
+                bwd & ~scc_mask & active,
+                active & ~fwd & ~bwd,
+            ):
+                sub = np.nonzero(sub_mask)[0]
+                if sub.size:
+                    worklist.append(sub)
+        return SparseFrontier.from_indices(
+            worklist.pop() if worklist else [], n
         )
-        iteration += 1
-    stats.converged = True
+
+    # The worklist of independent subproblems, solved last-in first-out;
+    # the loop converges when it is empty.
+    stats = Enactor(graph).run(
+        SparseFrontier.from_indices(np.arange(n), n),
+        step,
+        context={"worklist": []},
+    )
     n_components = int(np.unique(labels).shape[0]) if n else 0
     return SCCResult(labels=labels, n_components=n_components, stats=stats)
 

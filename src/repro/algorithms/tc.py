@@ -16,8 +16,11 @@ from typing import Union
 
 import numpy as np
 
+from repro.frontier.sparse import SparseFrontier
 from repro.graph.builder import from_edge_array
 from repro.graph.graph import Graph
+from repro.loop.convergence import MaxIterations
+from repro.loop.enactor import Enactor
 from repro.operators.intersection import segmented_intersection_counts
 from repro.execution.policy import ExecutionPolicy, par, resolve_policy
 from repro.utils.counters import RunStats
@@ -83,14 +86,28 @@ def triangle_count(
         und = graph
     oriented = _orient_by_degree(und)
     ocoo = oriented.coo()
-    counts = segmented_intersection_counts(
-        policy, oriented, ocoo.rows, ocoo.cols
+    m = ocoo.rows.shape[0]
+    counts = {}
+
+    def step(frontier, state):
+        counts["per_edge"] = segmented_intersection_counts(
+            policy, oriented, ocoo.rows, ocoo.cols
+        )
+        # One intersection per oriented edge reads both neighbor lists.
+        degrees = oriented.out_degrees()
+        state.edges_scanned = int(
+            degrees.take(ocoo.rows).sum() + degrees.take(ocoo.cols).sum()
+        )
+        return frontier
+
+    # The whole edge frontier in one superstep.
+    stats = Enactor(oriented, convergence=MaxIterations(1)).run(
+        SparseFrontier.from_indices(np.arange(m), m), step
     )
-    stats = RunStats()
-    stats.converged = True
+    per_edge = counts["per_edge"]
     return TCResult(
-        total=int(counts.sum()),
-        per_edge=counts,
+        total=int(per_edge.sum()),
+        per_edge=per_edge,
         edge_u=ocoo.rows.copy(),
         edge_v=ocoo.cols.copy(),
         stats=stats,
