@@ -69,12 +69,6 @@ class AlgorithmSpec:
         prints through ``summary`` and records in the ledger.
     summary:
         ``repro run``'s summary line, formatted with ``extra``'s dict.
-    service:
-        Whether the query service may run the entry.  Exactly the
-        entries that honour a deadline qualify: pagerank and ppr return
-        their last iterate when the ambient cancel token fires (a 206),
-        and bfs, sssp and cc poll it every superstep (a 504).  The
-        others would run past any deadline.
     renamed:
         Plan field -> entry keyword, where they differ (ppr's ``seeds``).
     """
@@ -84,7 +78,6 @@ class AlgorithmSpec:
     values: Optional[str] = None
     extra: Optional[Callable[[Any, Any], Dict[str, Any]]] = None
     summary: Optional[str] = None
-    service: bool = False
     renamed: Mapping[str, str] = field(default_factory=dict)
 
     @cached_property
@@ -141,11 +134,13 @@ def _count(name: str) -> Callable[[Any, Any], Dict[str, Any]]:
     return lambda g, r: {name: int(getattr(r, name))}
 
 
-#: name -> spec, for every algorithm ``repro run`` and ``repro profile``
-#: accept; the service takes the ones marked ``service``.
+#: name -> spec, for every algorithm ``repro run``, ``repro profile`` and
+#: the query service accept.  Every entry honours a deadline: pagerank
+#: and ppr return their last iterate when the ambient cancel token fires
+#: (a 206), the others poll it every superstep (a 504).
 REGISTRY: Dict[str, AlgorithmSpec] = {
     "sssp": AlgorithmSpec(
-        sssp, _TRAVERSAL, "distances", service=True,
+        sssp, _TRAVERSAL, "distances",
         extra=lambda g, r: {
             "reached": int(np.count_nonzero(np.isfinite(r.distances)))
         },
@@ -154,17 +149,17 @@ REGISTRY: Dict[str, AlgorithmSpec] = {
         sssp_async, ("source", "num_workers", "resilience"), "distances"
     ),
     "bfs": AlgorithmSpec(
-        bfs, _TRAVERSAL, "levels", service=True,
+        bfs, _TRAVERSAL, "levels",
         extra=lambda g, r: {"reached": int(np.count_nonzero(r.levels >= 0))},
     ),
     "pagerank": AlgorithmSpec(
-        pagerank, _ITERATIVE, "ranks", service=True,
+        pagerank, _ITERATIVE, "ranks",
         extra=lambda g, r: {"delta": r.delta},
     ),
     "pregel_pagerank": AlgorithmSpec(pregel_pagerank),
     "cc": AlgorithmSpec(
         connected_components, ("policy", "backend", "resilience"), "labels",
-        _count("n_components"), "components: {n_components}", service=True,
+        _count("n_components"), "components: {n_components}",
     ),
     "scc": AlgorithmSpec(
         strongly_connected_components, (), "labels", _count("n_components"),
@@ -183,7 +178,7 @@ REGISTRY: Dict[str, AlgorithmSpec] = {
         "colors: {n_colors}",
     ),
     "ppr": AlgorithmSpec(
-        personalized_pagerank, ("source",) + _ITERATIVE, "ranks", service=True,
+        personalized_pagerank, ("source",) + _ITERATIVE, "ranks",
         extra=lambda g, r: {"seeds": [int(s) for s in r.seeds]},
         renamed={"source": "seeds"},
     ),
@@ -205,7 +200,3 @@ REGISTRY: Dict[str, AlgorithmSpec] = {
     ),
 }
 
-
-def service_algorithms() -> Tuple[str, ...]:
-    """The names the query service accepts."""
-    return tuple(name for name, spec in REGISTRY.items() if spec.service)

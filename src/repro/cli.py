@@ -1320,7 +1320,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse tree for all subcommands."""
-    from repro.algorithms.registry import REGISTRY, service_algorithms
+    from repro.algorithms.registry import REGISTRY
     from repro.dynamic.stream import STREAM_ALGORITHMS
 
     parser = argparse.ArgumentParser(
@@ -1537,7 +1537,7 @@ def build_parser() -> argparse.ArgumentParser:
         "query", help="send one request to a running `repro serve`"
     )
     p.add_argument("graph", nargs="?", help="catalog graph name")
-    p.add_argument("algorithm", nargs="?", choices=service_algorithms())
+    p.add_argument("algorithm", nargs="?", choices=list(REGISTRY))
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, required=True)
     p.add_argument(

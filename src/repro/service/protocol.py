@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Optional
 
-from repro.algorithms.registry import REGISTRY, service_algorithms
+from repro.algorithms.registry import REGISTRY
 from repro.errors import ProtocolError
 
 #: Protocol identifier echoed in every response.
@@ -128,10 +128,10 @@ def validate_request(req: Dict[str, Any]) -> Dict[str, Any]:
         raise ProtocolError("query needs a 'graph' name (string)")
     algorithm = req.get("algorithm")
     spec = REGISTRY.get(algorithm) if isinstance(algorithm, str) else None
-    if spec is None or not spec.service:
+    if spec is None:
         raise ProtocolError(
             f"unknown algorithm {algorithm!r}; expected one of "
-            f"{service_algorithms()}"
+            f"{tuple(REGISTRY)}"
         )
     params = req.get("params") or {}
     if not isinstance(params, dict):

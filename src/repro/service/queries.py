@@ -7,16 +7,17 @@ iteration count, a checksum over the full vector (so two servers — or a
 cached and a fresh answer — can be compared for agreement), and the
 first ``head`` values for eyeballing.
 
-Dispatch is by :data:`repro.algorithms.REGISTRY`: a spec marked
-``service`` names the entry, its values field and its extra result
-fields.  Partial results: ``pagerank`` and ``ppr`` are anytime
+Dispatch is by :data:`repro.algorithms.REGISTRY`, every entry of it: a
+spec names the entry, its values field and its extra result fields.  An
+entry without per-vertex values (tc, ktruss) answers without checksum
+and head.  Partial results: ``pagerank`` and ``ppr`` are anytime
 algorithms — when the ambient
 :class:`~repro.resilience.deadline.CancelToken` fires they return their
 last completed iterate with ``converged: false``, which
-:func:`execute_query` marks ``partial: true``.  Traversals (``bfs``,
-``sssp``, ``cc``) have no useful prefix answer, so their cancellation
-propagates as :class:`~repro.errors.DeadlineExceeded` and the server
-answers 504.
+:func:`execute_query` marks ``partial: true``.  Every other entry polls
+the token each superstep and has no useful prefix answer, so its
+cancellation propagates as :class:`~repro.errors.DeadlineExceeded` and
+the server answers 504.
 """
 
 from __future__ import annotations
@@ -82,17 +83,20 @@ def execute_query(
     converged = bool(getattr(r, "converged", True))
     token = active_token()
     partial = not converged and token is not None and token.should_stop()
-    return {
+    out = {
         "algorithm": algorithm,
-        "n": int(np.asarray(values).shape[0]),
         "converged": converged,
         "partial": partial,
         "iterations": int(getattr(r, "iterations", 0))
         or (stats.num_iterations if stats is not None else 0),
-        "checksum": _checksum(values),
-        "head": _head(values),
-        **spec.extra(graph, r),
     }
+    if values is not None:
+        out["n"] = int(np.asarray(values).shape[0])
+        out["checksum"] = _checksum(values)
+        out["head"] = _head(values)
+    if spec.extra is not None:
+        out.update(spec.extra(graph, r))
+    return out
 
 
 def make_resilience(retry_attempts: int = 2):

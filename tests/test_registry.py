@@ -9,11 +9,14 @@ import pytest
 from repro.algorithms import REGISTRY, AlgorithmSpec
 from repro.algorithms.registry import WIRE_TYPES
 from repro.cli import main
+from repro.errors import DeadlineExceeded, ProtocolError
 from repro.graph.generators import grid_2d, rmat
 from repro.graph.io import save_graph_npz
 from repro.observability.ledger import RunLedger
 from repro.observability.probe import Probe
+from repro.resilience.deadline import CancelToken
 from repro.service import GraphCatalog, QueryService, ServiceConfig
+from repro.service.protocol import validate_request
 
 PLAN_FIELDS = set(WIRE_TYPES) | {"resilience"}
 
@@ -67,9 +70,29 @@ def test_every_entry_runs_its_supersteps_on_the_loop(name, rmat8):
     assert edges > 0
 
 
+#: Anytime entries: a fired token returns their last iterate.
+PARTIAL = {"pagerank", "ppr"}
+
+
+@pytest.mark.parametrize("name", list(REGISTRY))
+def test_every_entry_honours_an_expired_deadline(name, rmat8):
+    with CancelToken.after(0.0):
+        if name not in PARTIAL:
+            with pytest.raises(DeadlineExceeded):
+                REGISTRY[name].run(rmat8, {})
+            return
+        result = REGISTRY[name].run(rmat8, {})
+    assert not result.converged
+
+
 def test_the_service_runs_exactly_the_deadline_aware_entries():
-    served = {name for name, spec in REGISTRY.items() if spec.service}
-    assert served == {"pagerank", "ppr", "bfs", "sssp", "cc"}
+    # Every entry honours a deadline (above), so the service takes
+    # every registry name and nothing else.
+    for name in REGISTRY:
+        request = {"op": "query", "graph": "g", "algorithm": name}
+        assert validate_request(request)["algorithm"] == name
+    with pytest.raises(ProtocolError, match="unknown algorithm"):
+        validate_request({"op": "query", "graph": "g", "algorithm": "hits"})
 
 
 def _toy(graph, *, policy="seq", seed=3):

@@ -100,7 +100,11 @@ class TestProtocol:
 
 @pytest.mark.parametrize(
     "algorithm, entry",
-    [(name, spec.entry.__name__) for name, spec in REGISTRY.items() if spec.service],
+    [
+        (name, spec.entry.__name__)
+        for name, spec in REGISTRY.items()
+        if "policy" in spec.fields
+    ],
 )
 def test_query_policy_reaches_the_entry_point(algorithm, entry, monkeypatch):
     from repro.graph.generators import grid_2d
@@ -646,6 +650,14 @@ class TestSocketServer:
         for t in threads:
             t.join(timeout=30.0)
         assert results == [200] * 6
+
+    def test_tc_answers_without_per_vertex_values(self, running):
+        host, port = running.address
+        with ServiceClient(host, port) as c:
+            r = c.query("g", "tc")
+        assert r["code"] == 200
+        assert r["result"]["triangles"] == 0  # grids have none
+        assert not {"n", "checksum", "head"} & set(r["result"])
 
     def test_garbage_line_gets_400_connection_survives(self, running):
         import socket
