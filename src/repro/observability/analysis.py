@@ -304,7 +304,6 @@ class WorkerLoad:
     worker: Any
     tasks: int
     busy_seconds: float
-    steals: int = 0
 
 
 @dataclass
@@ -467,7 +466,6 @@ class AnalysisReport:
                     "worker": w.worker,
                     "tasks": w.tasks,
                     "busy_seconds": w.busy_seconds,
-                    "steals": w.steals,
                 }
                 for w in self.workers
             ],
@@ -525,12 +523,12 @@ class AnalysisReport:
                 f"workers (imbalance factor {self.imbalance_factor:.2f}x)"
             )
             out.append(
-                f"  {'worker':<8} {'tasks':>7} {'busy':>12} {'steals':>7}"
+                f"  {'worker':<8} {'tasks':>7} {'busy':>12}"
             )
             for w in sorted(self.workers, key=lambda w: str(w.worker)):
                 out.append(
                     f"  {str(w.worker):<8} {w.tasks:>7} "
-                    f"{w.busy_seconds * 1e3:>9.3f} ms {w.steals:>7}"
+                    f"{w.busy_seconds * 1e3:>9.3f} ms"
                 )
         else:
             out.append("workers: single-threaded (no scheduler/pool spans)")
@@ -700,8 +698,6 @@ def analyze_spans(
             load = busy[worker] = WorkerLoad(worker, 0, 0.0)
         load.tasks += 1
         load.busy_seconds += n.duration
-        if n.attrs.get("stolen"):
-            load.steals += 1
     workers = sorted(busy.values(), key=lambda w: str(w.worker))
     if len(workers) >= 2:
         mean = sum(w.busy_seconds for w in workers) / len(workers)

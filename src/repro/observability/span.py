@@ -8,8 +8,8 @@ when it started, which is how a Chrome trace reconstructs the stack per
 worker track.
 
 Span *events* are zero-duration points attached to a span — a fault
-injected mid-superstep, a retry attempt, a steal — the marks Perfetto
-renders as instants on the span's track.
+injected mid-superstep, a retry attempt, a frontier split — the marks
+Perfetto renders as instants on the span's track.
 
 Span categories follow a ``layer:detail`` naming scheme so traces map
 straight onto the paper's essential components:
@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Optional
 
 @dataclass(slots=True)
 class SpanEvent:
-    """A zero-duration mark inside a span (fault, retry, steal, ...)."""
+    """A zero-duration mark inside a span (fault, retry, frontier split, ...)."""
 
     name: str
     timestamp: float  # seconds on the tracer's perf_counter clock
