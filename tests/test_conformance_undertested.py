@@ -10,6 +10,8 @@ import pytest
 
 from repro.algorithms import (
     astar,
+    boruvka_mst,
+    kcore_decomposition,
     ktruss_decomposition,
     sssp,
     strongly_connected_components,
@@ -37,17 +39,29 @@ def _conform_all(runner, algo, **filters):
 # -- policy sweeps through the oracle fixtures --------------------------------
 
 
+#: Entry points of the swept algorithms that take no ``policy``.
+POLICY_FREE = {"mst": boruvka_mst, "kcore": kcore_decomposition}
+
+
 @pytest.mark.parametrize("policy", NON_DEFAULT_POLICIES)
-@pytest.mark.parametrize("algo", ["ktruss"])
+@pytest.mark.parametrize("algo", ["mst", "ktruss", "kcore"])
 def test_non_default_policies_conform(runner, algo, policy):
-    mismatches = _conform_all(runner, algo, policies=[policy])
+    if algo in POLICY_FREE:
+        # No policy axis: the keyword is refused rather than silently
+        # ignored, and the one result per pool graph must conform.
+        assert get_spec(algo).axes.policies == (None,)
+        with pytest.raises(TypeError, match="policy"):
+            POLICY_FREE[algo](runner.pool.graph("star16"), policy=policy)
+        mismatches = _conform_all(runner, algo)
+    else:
+        mismatches = _conform_all(runner, algo, policies=[policy])
     assert not mismatches, "\n".join(
         f"{m.cell.label()}: {m.detail} | replay: {m.repro}"
         for m in mismatches
     )
 
 
-@pytest.mark.parametrize("algo", ["astar", "scc", "mst", "kcore"])
+@pytest.mark.parametrize("algo", ["astar", "scc"])
 def test_single_policy_algorithms_conform_on_whole_pool(runner, algo):
     mismatches = _conform_all(runner, algo)
     assert not mismatches, "\n".join(
