@@ -20,15 +20,14 @@ contract instead of just timing it:
   query in flight restarts on the same ``--data-dir``, marks the orphan
   aborted in the journal, and serves immediately.
 
-The mixed-phase latencies become a ``repro-bench-trajectory/v1`` entry
-(``--json soak.json``): p50/p95/p99 of successful round-trips plus
-throughput, comparable between runs by ``repro diff``.
+The run ends with the mixed phase's p50/p95/p99 round-trip latencies
+and throughput on one line.  Tracked service latencies are the
+benchmark suite's ``service-*`` workloads (``benchmarks/suite/``).
 
 Usage::
 
     python benchmarks/bench_service_soak.py --smoke            # CI, ~15 s
     python benchmarks/bench_service_soak.py --seconds 30       # the soak
-    python benchmarks/bench_service_soak.py --smoke --json soak.json
 """
 
 from __future__ import annotations
@@ -323,7 +322,7 @@ def crash_recovery_phase(log):
         "orphan, restored the catalog, answered, exited 130 on TERM")
 
 
-# -- entry assembly --------------------------------------------------------------------
+# -- latency summary --------------------------------------------------------------------
 
 
 def _percentile(sorted_values, q: float) -> float:
@@ -331,40 +330,6 @@ def _percentile(sorted_values, q: float) -> float:
         return 0.0
     idx = min(len(sorted_values) - 1, int(q * len(sorted_values)))
     return float(sorted_values[idx])
-
-
-def trajectory_entry(label, mixed, graph_meta) -> dict:
-    """Shape the soak's latencies as a repro-bench-trajectory/v1 entry."""
-    base = {
-        "algorithm": "service",
-        "n_vertices": graph_meta["n_vertices"],
-        "n_edges": graph_meta["n_edges"],
-        "trials": mixed["requests"],
-        "qps": round(mixed["qps"], 3),
-    }
-    workloads = [
-        dict(base, name="service_mixed_p50", seconds=mixed["p50_s"]),
-        dict(base, name="service_mixed_p95", seconds=mixed["p95_s"]),
-        dict(base, name="service_mixed_p99", seconds=mixed["p99_s"]),
-        dict(
-            base,
-            name="service_mixed_throughput",
-            seconds=1.0 / mixed["qps"] if mixed["qps"] else 0.0,
-        ),
-    ]
-    return {
-        "schema": "repro-bench-trajectory/v1",
-        "label": label,
-        "generated_at": time.strftime(
-            "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
-        ),
-        "workloads": workloads,
-        "soak": {
-            "requests": mixed["requests"],
-            "elapsed_s": round(mixed["elapsed_s"], 3),
-            "codes": mixed["codes"],
-        },
-    }
 
 
 # -- main ------------------------------------------------------------------------------
@@ -379,9 +344,6 @@ def main(argv=None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="CI preset: short mixed phase, small fleet")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--json", help="write a trajectory entry here")
-    parser.add_argument("--label", default="service_soak",
-                        help="trajectory entry label")
     parser.add_argument("--observe", action="store_true",
                         help="soak with per-query tracing, latency "
                         "histograms, and the incident flight recorder on "
@@ -409,11 +371,6 @@ def main(argv=None) -> int:
     catalog = GraphCatalog()
     catalog.add({"name": "grid", "generator": "grid", "scale": 10, "seed": 0})
     catalog.add({"name": "ring", "generator": "ws", "scale": 8, "seed": 1})
-    grid = catalog.get("grid")
-    graph_meta = {
-        "n_vertices": int(grid.n_vertices),
-        "n_edges": int(grid.n_edges),
-    }
 
     baseline_threads = threading.active_count()
     with tempfile.TemporaryDirectory(prefix="repro-soak-") as tmp:
@@ -478,12 +435,6 @@ def main(argv=None) -> int:
     if not args.skip_subprocess:
         crash_recovery_phase(log)
 
-    entry = trajectory_entry(args.label, mixed, graph_meta)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(entry, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        log(f"wrote {args.json}")
     log(
         f"PASS: p50 {mixed['p50_s'] * 1e3:.1f} ms, "
         f"p95 {mixed['p95_s'] * 1e3:.1f} ms, "

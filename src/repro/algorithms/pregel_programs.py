@@ -10,6 +10,7 @@ apply) triple; see :class:`~repro.comm.pregel.VertexProgram`.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 from repro.comm.pregel import PregelEngine, VertexProgram
 from repro.graph.graph import Graph
 from repro.types import INF
+from repro.utils.counters import RunStats
 
 
 def _take_better(values, inbox, active, better):
@@ -121,20 +123,29 @@ def pregel_sssp(
     return engine.run(SSSPProgram(source), np.full(graph.n_vertices, float(INF)))
 
 
+@dataclass
+class PregelPageRankResult:
+    """Final ranks and the Enactor's per-superstep stats."""
+
+    ranks: np.ndarray
+    stats: RunStats
+
+
 def pregel_pagerank(
     graph: Graph,
     *,
     damping: float = 0.85,
     rounds: int = 30,
     owner_of: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Run Pregel PageRank for a fixed round budget; returns ranks."""
+) -> PregelPageRankResult:
+    """Run Pregel PageRank for a fixed round budget."""
     engine = PregelEngine(graph, owner_of=owner_of)
     n = graph.n_vertices
-    return engine.run(
+    ranks = engine.run(
         PageRankProgram(n, damping=damping, rounds=rounds),
         np.full(n, 1.0 / max(n, 1)),
     )
+    return PregelPageRankResult(ranks, engine.run_stats)
 
 
 def pregel_components(

@@ -55,14 +55,14 @@ class AlgorithmSpec:
     Attributes
     ----------
     entry:
-        ``entry(graph, **plan) -> result``.
+        ``entry(graph, **plan) -> result``; the result carries the
+        loop's :class:`~repro.utils.counters.RunStats` as ``stats``.
     fields:
         The plan fields the entry consumes: keys of :data:`WIRE_TYPES`
         and ``resilience``.
     values:
         The result attribute holding the per-vertex values; ``None``
-        when there is none (tc and ktruss count per edge) or the entry
-        returns the value array itself.
+        when there is none (tc and ktruss count per edge).
     extra:
         ``extra(graph, result) -> dict`` of scalar result fields, which
         the service returns beside its checksum and ``repro run``
@@ -120,8 +120,6 @@ class AlgorithmSpec:
 
     def values_of(self, result) -> Optional[np.ndarray]:
         """The per-vertex values of one ``result`` (``None`` if none)."""
-        if isinstance(result, np.ndarray):
-            return result
         return None if self.values is None else getattr(result, self.values)
 
 
@@ -156,7 +154,7 @@ REGISTRY: Dict[str, AlgorithmSpec] = {
         pagerank, _ITERATIVE, "ranks",
         extra=lambda g, r: {"delta": r.delta},
     ),
-    "pregel_pagerank": AlgorithmSpec(pregel_pagerank),
+    "pregel_pagerank": AlgorithmSpec(pregel_pagerank, values="ranks"),
     "cc": AlgorithmSpec(
         connected_components, ("policy", "backend", "resilience"), "labels",
         _count("n_components"), "components: {n_components}",

@@ -12,8 +12,6 @@ GPU graph frameworks ship:
 * ``repro explain``  — trace analysis: critical path, per-layer time
   attribution, worker imbalance, frontier timeline, diagnosis — from a
   trace file or a run-ledger id;
-* ``repro diff``     — the regression gate: compare two runs or two
-  ``BENCH_*.json`` entries, exit nonzero on regression;
 * ``repro ledger``   — list or show run-ledger records (every ``run``/
   ``profile`` appends one under ``.repro/runs/``);
 * ``repro partition``— partition and report quality metrics;
@@ -454,19 +452,18 @@ def _run_body(args: argparse.Namespace, probe) -> int:
     metrics = dict(
         seconds=seconds, **extra, n_vertices=g.n_vertices, n_edges=g.n_edges
     )
-    stats = getattr(result, "stats", None)
-    if stats is not None:
-        print(
-            f"{name}: {stats.num_iterations} supersteps, "
-            f"{stats.total_edges_touched} edges touched, "
-            f"{stats.mteps:.3f} MTEPS"
-        )
-        metrics.update(
-            iterations=stats.num_iterations,
-            edges_expanded=stats.total_edges_touched,
-            mteps=stats.mteps,
-            converged=stats.converged,
-        )
+    stats = result.stats
+    print(
+        f"{name}: {stats.num_iterations} supersteps, "
+        f"{stats.total_edges_touched} edges touched, "
+        f"{stats.mteps:.3f} MTEPS"
+    )
+    metrics.update(
+        iterations=stats.num_iterations,
+        edges_expanded=stats.total_edges_touched,
+        mteps=stats.mteps,
+        converged=stats.converged,
+    )
     _append_ledger_record(
         args,
         kind="run",
@@ -729,7 +726,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-# -- trace analysis / ledger / regression commands -------------------------------------
+# -- trace analysis / ledger commands -------------------------------------------------
 
 
 def _render_ledger_analysis(record: dict) -> str:
@@ -822,51 +819,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
                 lines.append(f"  incident file: {record['incident']}")
             print("\n".join(lines))
     return 0
-
-
-def _resolve_diff_side(ledger, target: str) -> tuple:
-    """A diff operand: a JSON file path or a ledger run id.
-
-    Returns ``(label, payload)``; raises ``SystemExit`` when unresolvable.
-    """
-    import os
-
-    if os.path.exists(target):
-        from repro.observability.regression import load_comparable
-
-        return os.path.basename(target), load_comparable(target)
-    record = ledger.get(target)
-    if record is None:
-        raise SystemExit(
-            f"{target}: neither a JSON file nor a (unique) run id in "
-            f"{ledger.path}"
-        )
-    return str(record["run_id"]), record
-
-
-def cmd_diff(args: argparse.Namespace) -> int:
-    """``repro diff``: the regression gate between two runs/entries."""
-    from repro.observability.ledger import RunLedger
-    from repro.observability.regression import DEFAULT_THRESHOLD, compare
-
-    ledger = RunLedger(args.ledger_dir)
-    label_a, payload_a = _resolve_diff_side(ledger, args.baseline)
-    label_b, payload_b = _resolve_diff_side(ledger, args.candidate)
-    try:
-        report = compare(
-            payload_a,
-            payload_b,
-            threshold=(
-                args.threshold if args.threshold is not None else DEFAULT_THRESHOLD
-            ),
-            baseline_label=label_a,
-            candidate_label=label_b,
-        )
-    except ValueError as exc:
-        print(f"diff: {exc}", file=sys.stderr)
-        return 2
-    print(report.render())
-    return report.exit_code()
 
 
 def cmd_ledger(args: argparse.Namespace) -> int:
@@ -1440,22 +1392,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--ledger-dir", help="ledger root (default .repro/runs)")
     p.set_defaults(fn=cmd_explain)
-
-    p = sub.add_parser(
-        "diff",
-        help="regression gate: compare two runs or benchmark entries; "
-        "exits 1 on regression",
-    )
-    p.add_argument("baseline", help="run id, ledger record, or BENCH_*.json path")
-    p.add_argument("candidate", help="run id, ledger record, or BENCH_*.json path")
-    p.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        help="relative slowdown that counts as a regression (default 0.25)",
-    )
-    p.add_argument("--ledger-dir", help="ledger root (default .repro/runs)")
-    p.set_defaults(fn=cmd_diff)
 
     p = sub.add_parser("ledger", help="list or show recorded runs")
     p.add_argument("run_id", nargs="?", help="show one record (prefix ok)")

@@ -50,7 +50,7 @@ from repro.operators.fused import _gather_segments, dedup_ids, sort_unique
 from repro.resilience.chaos import FaultInjector, active_injector
 from repro.resilience.policy import ResiliencePolicy
 from repro.types import VERTEX_DTYPE
-from repro.utils.counters import ResilienceCounters
+from repro.utils.counters import ResilienceCounters, RunStats
 from repro.utils.validation import check_vertices_in_range
 
 #: The merges a program may name, with the inbox value meaning "no message".
@@ -260,6 +260,8 @@ class PregelEngine:
         self.max_supersteps = max_supersteps
         self.resilience = resilience
         self.stats = PregelStats()
+        #: The Enactor's :class:`RunStats` of the last run.
+        self.run_stats: Optional[RunStats] = None
 
     def run(
         self,
@@ -362,7 +364,7 @@ class PregelEngine:
 
         frontier = SparseFrontier(n)
         frontier.adopt(active)
-        run_stats = enactor.run(
+        run_stats = self.run_stats = enactor.run(
             frontier,
             step,
             context={

@@ -19,9 +19,9 @@ from repro.frontier.edge import EdgeFrontier
 from repro.frontier.queue import AsyncQueueFrontier
 from repro.frontier.sparse import SparseFrontier
 
-#: Active-fraction threshold above which the dense bitmap wins.  Measured
-#: by ``benchmarks/bench_frontier_representations.py``; the default is the
-#: conventional BFS direction-switch region.
+#: Active-fraction threshold above which the dense bitmap wins (the
+#: dedup crossover sits in the single-digit percents, EXPERIMENTS.md F1);
+#: the default is the conventional BFS direction-switch region.
 DENSE_THRESHOLD = 0.05
 
 _NAMES = {

@@ -1,11 +1,11 @@
 """The run ledger: append-only machine-checkable performance history.
 
-Every ``repro run``, ``repro profile``, and benchmark trajectory
-collection appends one JSON line to ``.repro/runs/ledger.jsonl`` —
-config, environment, headline metrics, per-superstep summaries, and
-(when spans were collected) the analysis engine's attribution — so
-"did this change regress sssp_grid?" is answerable from the ledger
-alone, months later, without re-reading Chrome traces.
+Every ``repro run`` and ``repro profile`` appends one JSON line to
+``.repro/runs/ledger.jsonl`` — config, environment, headline metrics,
+per-superstep summaries, and (when spans were collected) the analysis
+engine's attribution — so ``repro explain <run id>`` can answer "where
+did this run spend its time?" months later, without re-reading Chrome
+traces.
 
 The ledger is *append-only*: records are never rewritten, a run id
 never changes meaning, and corrupt lines are skipped on read (a crashed

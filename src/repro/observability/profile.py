@@ -107,7 +107,7 @@ def profile_algorithm(
         algorithm=algorithm,
         probe=probe,
         seconds=clock.elapsed,
-        stats=getattr(result, "stats", None),
+        stats=result.stats,
         values=spec.values_of(result),
         graph_info={
             "n_vertices": graph.n_vertices,

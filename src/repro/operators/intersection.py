@@ -28,6 +28,10 @@ from repro.execution.policy import (
     resolve_policy,
 )
 from repro.execution.thread_pool import even_chunks, get_pool
+from repro.resilience.deadline import active_token
+
+#: Pairs intersected between two polls of the ambient cancel token.
+CANCEL_CHECK_PAIRS = 2048
 
 
 def _intersect_size(a: np.ndarray, b: np.ndarray) -> int:
@@ -50,7 +54,9 @@ def segmented_intersection_counts(
     """Count common out-neighbors for each pair ``(pairs_u[k], pairs_v[k])``.
 
     Raises :class:`GraphFormatError` unless the graph was built or
-    converted with sorted neighbor lists.
+    converted with sorted neighbor lists.  The calling thread's cancel
+    token is polled every :data:`CANCEL_CHECK_PAIRS` pairs of each span,
+    in the pool threads too, so a deadline interrupts a long batch.
     """
     policy = resolve_policy(policy)
     if not graph.properties.sorted_neighbors:
@@ -66,12 +72,17 @@ def segmented_intersection_counts(
         )
     csr = graph.csr()
     out = np.zeros(u.shape[0], dtype=np.int64)
+    # Thread-local: read here, because the pool threads cannot see it.
+    token = active_token()
 
     def run_span(start: int, stop: int) -> None:
-        for k in range(start, stop):
-            out[k] = _intersect_size(
-                csr.get_neighbors(int(u[k])), csr.get_neighbors(int(v[k]))
-            )
+        for block in range(start, stop, CANCEL_CHECK_PAIRS):
+            if token is not None:
+                token.check("operator:intersection")
+            for k in range(block, min(block + CANCEL_CHECK_PAIRS, stop)):
+                out[k] = _intersect_size(
+                    csr.get_neighbors(int(u[k])), csr.get_neighbors(int(v[k]))
+                )
 
     if isinstance(policy, (SequencedPolicy, VectorPolicy)):
         # The per-pair kernel is already NumPy-backed; "vector" here means

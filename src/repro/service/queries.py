@@ -79,7 +79,6 @@ def execute_query(
         raise ProtocolError(f"bad {algorithm} parameters: {exc}") from exc
 
     values = spec.values_of(r)
-    stats = getattr(r, "stats", None)
     converged = bool(getattr(r, "converged", True))
     token = active_token()
     partial = not converged and token is not None and token.should_stop()
@@ -87,8 +86,7 @@ def execute_query(
         "algorithm": algorithm,
         "converged": converged,
         "partial": partial,
-        "iterations": int(getattr(r, "iterations", 0))
-        or (stats.num_iterations if stats is not None else 0),
+        "iterations": int(getattr(r, "iterations", 0)) or r.stats.num_iterations,
     }
     if values is not None:
         out["n"] = int(np.asarray(values).shape[0])

@@ -96,6 +96,34 @@ def small_ws():
     return watts_strogatz(150, 6, 0.1, seed=13)
 
 
+# -- the shape-claim graphs: one per regime a pillar trade-off needs ---------
+
+
+@pytest.fixture(scope="session")
+def rmat10():
+    """Scale-10 weighted R-MAT, edge factor 16, undirected: hub-skewed
+    degrees for load balance and direction choice."""
+    return rmat(10, 16, weighted=True, seed=1, directed=False)
+
+
+@pytest.fixture(scope="session")
+def rmat10_directed():
+    """Scale-10 weighted R-MAT, edge factor 16, directed: low diameter."""
+    return rmat(10, 16, weighted=True, seed=2)
+
+
+@pytest.fixture(scope="session")
+def grid48():
+    """48x48 weighted grid: high diameter, uniform degree (road-like)."""
+    return grid_2d(48, 48, weighted=True, seed=3)
+
+
+@pytest.fixture(scope="session")
+def ws10():
+    """1024-vertex small world with triangles, undirected."""
+    return watts_strogatz(1 << 10, 8, 0.05, seed=5)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -1,10 +1,9 @@
-"""Tests for the trace analysis engine, run ledger, and regression gate.
+"""Tests for the trace analysis engine and the run ledger.
 
-Covers the three PR-4 deliverables end to end: span-tree reconstruction
-and attribution (live probe, events JSONL, Chrome trace), the diagnosis
-naming an artificially slowed layer, ledger append/query semantics, the
-regression gate's exit codes, and the ``repro explain`` / ``repro
-diff`` / ``repro ledger`` CLI surface.
+Covers span-tree reconstruction and attribution (live probe, events
+JSONL, Chrome trace), the diagnosis naming an artificially slowed layer,
+ledger append/query semantics, and the ``repro explain`` / ``repro
+ledger`` CLI surface.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from repro.observability.ledger import (
 )
 from repro.observability.probe import Probe
 from repro.observability.profile import profile_algorithm
-from repro.observability.regression import compare
 
 
 # -- synthetic span helpers -----------------------------------------------------------
@@ -299,60 +297,6 @@ def test_record_embeds_bounded_supersteps(sssp_report):
     assert record["created_at"].endswith("Z")
 
 
-# -- regression gate ------------------------------------------------------------------
-
-
-def _entry(**seconds):
-    return {
-        "schema": "repro-bench-trajectory/v1",
-        "workloads": [
-            {"name": name, "algorithm": name, "seconds": s,
-             "n_vertices": 1, "n_edges": 1, "trials": 5}
-            for name, s in seconds.items()
-        ],
-    }
-
-
-def test_gate_passes_within_threshold():
-    report = compare(_entry(sssp=0.100), _entry(sssp=0.110), threshold=0.25)
-    assert report.exit_code() == 0
-    assert not report.regressions
-    assert "gate passed" in report.render()
-
-
-def test_gate_flags_3x_regression_nonzero_exit():
-    report = compare(_entry(sssp=0.100), _entry(sssp=0.300), threshold=0.25)
-    assert report.exit_code() == 1
-    (bad,) = report.regressions
-    assert bad.name == "sssp" and bad.ratio == pytest.approx(3.0)
-    assert "REGRESSED" in report.render()
-
-
-def test_gate_improvement_never_fails():
-    report = compare(_entry(sssp=0.300), _entry(sssp=0.100), threshold=0.25)
-    assert report.exit_code() == 0
-    assert report.improvements and "improved" in report.render()
-
-
-def test_gate_absolute_noise_floor():
-    # 3x slower but only 60 us absolute: below the floor, not a regression.
-    report = compare(
-        _entry(tiny=0.00003), _entry(tiny=0.00009), threshold=0.25
-    )
-    assert report.exit_code() == 0
-
-
-def test_gate_ledger_records_and_missing_workloads():
-    base = make_record(kind="run", algorithm="sssp", metrics={"seconds": 0.1})
-    cand = make_record(kind="run", algorithm="sssp", metrics={"seconds": 0.5})
-    report = compare(base, cand)
-    assert report.exit_code() == 1
-    both = compare(_entry(a=0.1, b=0.1), _entry(a=0.1, c=0.1))
-    assert both.missing == ["b", "c"]
-    with pytest.raises(ValueError):
-        compare({"schema": "nope"}, _entry(a=0.1))
-
-
 # -- CLI surface ----------------------------------------------------------------------
 
 
@@ -382,9 +326,8 @@ def test_cli_explain_json_mode(tmp_path, capsys, sssp_report):
     assert payload["supersteps"]
 
 
-def test_cli_profile_records_ledger_then_explain_and_diff(tmp_path, capsys):
-    """The full loop: profile -> ledger record -> explain by run id ->
-    diff two runs of the same workload."""
+def test_cli_profile_records_ledger_then_explain(tmp_path, capsys):
+    """The full loop: profile -> ledger record -> explain by run id."""
     from repro.cli import main
 
     ids = []
@@ -402,21 +345,16 @@ def test_cli_profile_records_ledger_then_explain_and_diff(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "diagnosis:" in out and "critical path" in out
 
-    code = main(["diff", ids[0], ids[1], "--threshold", "10.0"])
-    out = capsys.readouterr().out
-    assert code == 0, out
-    assert "sssp" in out
 
-
-def test_cli_diff_flags_regression_between_entries(tmp_path, capsys):
+def test_cli_diff_is_unknown_command(capsys):
+    """Runs are compared by the benchmark suite's ``run.py --compare``;
+    the CLI has no second comparison engine."""
     from repro.cli import main
 
-    base, cand = tmp_path / "a.json", tmp_path / "b.json"
-    base.write_text(json.dumps(_entry(sssp_grid=0.100)))
-    cand.write_text(json.dumps(_entry(sssp_grid=0.300)))
-    assert main(["diff", str(base), str(cand)]) == 1
-    assert "REGRESSED" in capsys.readouterr().out
-    assert main(["diff", str(base), str(base)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["diff", "a.json", "b.json"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'diff'" in capsys.readouterr().err
 
 
 def test_cli_explain_unknown_target_errors(capsys):

@@ -78,6 +78,19 @@ class TestDirectionOptimized:
         assert eager.directions.count("pull") >= lazy.directions.count("pull")
         assert np.array_equal(eager.levels, lazy.levels)
 
+    def test_auto_switches_on_rmat(self, rmat10):
+        r = bfs(rmat10, 0, direction="auto")
+        assert "pull" in r.directions and "push" in r.directions
+
+    def test_auto_stays_push_on_grid(self, grid48):
+        r = bfs(grid48, 0, direction="auto")
+        assert all(d == "push" for d in r.directions)
+
+    def test_all_directions_same_levels(self, rmat10):
+        levels = [bfs(rmat10, 0, direction=d).levels for d in DIRECTIONS]
+        assert np.array_equal(levels[0], levels[1])
+        assert np.array_equal(levels[0], levels[2])
+
     def test_fixed_direction_records_nothing(self, small_grid):
         assert bfs(small_grid, 0, direction="push").directions == []
 

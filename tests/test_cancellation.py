@@ -13,6 +13,7 @@ The service story rests on two properties exercised here:
   immediately afterwards and no worker threads are left behind.
 """
 
+import itertools
 import threading
 import time
 
@@ -20,18 +21,22 @@ import numpy as np
 import pytest
 
 from repro.algorithms.bfs import bfs
+from repro.algorithms.ktruss import ktruss_decomposition
 from repro.algorithms.pagerank import pagerank
 from repro.algorithms.ppr import personalized_pagerank, ppr_forward_push
 from repro.algorithms.sssp import sssp, sssp_async
+from repro.algorithms.tc import triangle_count
 from repro.comm.pregel import PregelEngine, VertexProgram
 from repro.errors import (
     CancellationError,
     DeadlineExceeded,
     QueryCancelled,
 )
+from repro.execution import par
 from repro.execution.scheduler import AsyncScheduler
 from repro.graph.generators import grid_2d, with_random_weights
 from repro.observability import Probe
+from repro.operators import intersection
 from repro.resilience import (
     CancelToken,
     Deadline,
@@ -204,6 +209,37 @@ class TestEnactorCancellation:
             with pytest.raises(DeadlineExceeded, match="superstep:"):
                 PregelEngine(grid).run(Slow(), np.zeros(grid.n_vertices))
         assert any(s.name == "superstep" for s in probe.tracer.spans())
+
+
+class TestIntersectionCancellation:
+    """The intersection operator is ktruss's pre-loop support phase and
+    the whole of tc's one superstep: it polls the token itself, in the
+    pool threads too, every ``CANCEL_CHECK_PAIRS`` pairs."""
+
+    FIRE_AFTER = 100
+
+    @pytest.mark.parametrize(
+        "policy", ["par_vector", par.with_workers(1)], ids=["in_thread", "pool"]
+    )
+    @pytest.mark.parametrize("algorithm", [ktruss_decomposition, triangle_count])
+    def test_deadline_interrupts_the_pair_loop(
+        self, monkeypatch, rmat10, algorithm, policy
+    ):
+        token = CancelToken.after(3600.0)
+        calls = itertools.count()
+        real = intersection._intersect_size
+
+        def fire_after_k_calls(a, b):
+            if next(calls) == self.FIRE_AFTER:
+                token.deadline = Deadline(0.0)  # long past
+            return real(a, b)
+
+        monkeypatch.setattr(intersection, "_intersect_size", fire_after_k_calls)
+        with token:
+            with pytest.raises(DeadlineExceeded, match="operator:intersection"):
+                algorithm(rmat10, policy=policy)
+        further = next(calls) - (self.FIRE_AFTER + 1)
+        assert further < intersection.CANCEL_CHECK_PAIRS
 
 
 class TestSchedulerCancellation:

@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.algorithms.pregel_programs import SSSPProgram, pregel_sssp
+from repro.algorithms.sssp import sssp
 from repro.comm import PregelEngine, VertexProgram
 from repro.errors import CommunicationError, ConvergenceError
 from repro.graph import from_edge_list
 from repro.graph.generators import chain, grid_2d
+from repro.partition import metis_like_partition, random_partition
+from repro.types import INF
 
 
 class _MaxValue(VertexProgram):
@@ -178,5 +182,48 @@ class TestAggregators:
         from repro.algorithms.pregel_programs import pregel_pagerank
 
         g = from_edge_list([(0, 1), (0, 2), (3, 0)], n_vertices=4)
-        out = pregel_pagerank(g, rounds=40)
+        out = pregel_pagerank(g, rounds=40).ranks
         assert out.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+class TestCommunicationShapes:
+    """Table I's communication pillar: shared-memory operators and
+    message passing give one answer; placement decides the traffic."""
+
+    @pytest.fixture(scope="class")
+    def comm_graph(self, ws10):
+        from repro.graph.generators import with_random_weights
+
+        return with_random_weights(ws10, seed=11)
+
+    @staticmethod
+    def _remote_messages(graph, assignment):
+        engine = PregelEngine(graph, owner_of=assignment)
+        engine.run(SSSPProgram(0), np.full(graph.n_vertices, float(INF)))
+        return engine.stats.remote_messages
+
+    def test_answers_identical_across_models(self, comm_graph):
+        shared = sssp(comm_graph, 0).distances
+        finite = shared < INF
+        for k in (1, 4):
+            owner = (
+                None if k == 1 else random_partition(comm_graph, k, seed=1).assignment
+            )
+            messaged = pregel_sssp(comm_graph, 0, owner_of=owner)
+            assert np.allclose(shared[finite], messaged[finite], atol=1e-3)
+
+    def test_remote_traffic_grows_with_k_under_random(self, comm_graph):
+        volumes = [
+            self._remote_messages(
+                comm_graph, random_partition(comm_graph, k, seed=2).assignment
+            )
+            for k in (2, 4, 8)
+        ]
+        assert volumes[0] < volumes[-1]
+
+    def test_metis_placement_cuts_remote_traffic(self, comm_graph):
+        rand = random_partition(comm_graph, 4, seed=3)
+        metis = metis_like_partition(comm_graph, 4, seed=3)
+        assert self._remote_messages(comm_graph, metis.assignment) < (
+            self._remote_messages(comm_graph, rand.assignment) / 2
+        )

@@ -112,6 +112,15 @@ class TestPersonalizedPageRank:
         r = ppr_forward_push(small_ws, 0, epsilon=1e-3)
         assert np.count_nonzero(r.ranks) < small_ws.n_vertices
 
+    def test_coarse_push_ppr_touches_fraction_of_graph(self, ws10):
+        r = ppr_forward_push(ws10, 0, epsilon=1e-3)
+        assert np.count_nonzero(r.ranks) < ws10.n_vertices / 2
+
+    def test_ppr_variants_agree_at_tight_tolerance(self, ws10):
+        power = personalized_pagerank(ws10, 0, tolerance=1e-12)
+        push = ppr_forward_push(ws10, 0, epsilon=1e-10)
+        assert np.allclose(power.ranks, push.ranks, atol=1e-6)
+
     def test_bad_seeds_rejected(self, small_ws):
         with pytest.raises(ValueError):
             personalized_pagerank(small_ws, [])

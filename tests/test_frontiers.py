@@ -264,3 +264,39 @@ class TestAutoSelect:
     def test_custom_threshold(self):
         f = SparseFrontier.from_indices(range(10), 1000)
         assert isinstance(auto_select(f, threshold=0.005), DenseFrontier)
+
+
+class TestRepresentationShapes:
+    """Sparse frontier work is O(active), dense is O(capacity); the auto
+    selector lands on the cheaper side at either end of the range."""
+
+    CAPACITY = 1 << 17
+
+    def _ids(self, fraction):
+        rng = np.random.default_rng(17)
+        k = max(1, int(self.CAPACITY * fraction))
+        return rng.choice(self.CAPACITY, size=k, replace=False).astype(np.int32)
+
+    def test_auto_select_picks_the_winner_side(self):
+        tiny = SparseFrontier.from_indices(self._ids(0.0001), self.CAPACITY)
+        wide = SparseFrontier.from_indices(self._ids(0.5), self.CAPACITY)
+        assert isinstance(auto_select(tiny), SparseFrontier)
+        assert isinstance(auto_select(wide), DenseFrontier)
+
+    def test_sparse_build_scales_with_k_not_n(self):
+        # At fraction 1e-4 the sparse build touches ~13 ids; the dense
+        # build allocates the full bitmap.
+        import time
+
+        ids = self._ids(0.0001)
+        t0 = time.perf_counter()
+        for _ in range(200):
+            f = SparseFrontier(self.CAPACITY)
+            f.add_many(ids)
+        sparse_t = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        for _ in range(200):
+            f = DenseFrontier(self.CAPACITY)
+            f.add_many(ids)
+        dense_t = time.perf_counter() - t0
+        assert sparse_t < dense_t

@@ -54,7 +54,7 @@ class TestCommunicationAxis:
     def test_pagerank_shared_vs_pregel(self):
         g = erdos_renyi_gnp(80, 0.06, seed=23)  # unweighted: same update rule
         shared = pagerank(g, tolerance=0.0, max_iterations=40).ranks
-        messaged = pregel_pagerank(g, rounds=40)
+        messaged = pregel_pagerank(g, rounds=40).ranks
         assert np.allclose(shared, messaged, atol=1e-6)
 
     def test_components_shared_vs_pregel(self):

@@ -118,6 +118,17 @@ def test_near_far_runs_more_supersteps_for_less_work():
     assert near_far.total_edges_touched < plain.total_edges_touched
 
 
+def test_near_far_trades_supersteps_for_edges_on_grid(grid48):
+    plain = sssp(grid48, 0, delta=math.inf).stats
+    nf = sssp(grid48, 0).stats
+    narrow = sssp(grid48, 0, delta=float(grid48.csr().values.mean()) / 4).stats
+    # Near-far spends more supersteps to relax far fewer edges; a
+    # narrower band buys no further edge savings, only supersteps.
+    assert nf.total_edges_touched < plain.total_edges_touched
+    assert narrow.num_iterations > nf.num_iterations > plain.num_iterations
+    assert narrow.total_edges_touched <= 2 * grid48.n_edges
+
+
 def test_zero_mean_weight_falls_back_to_listing4():
     g = from_edge_array([0, 1, 2], [1, 2, 3], [0.0, 0.0, 0.0], n_vertices=5)
     r = sssp(g, 0)
@@ -227,6 +238,15 @@ def test_sssp_work_is_linear_on_weighted_grids(k, delta, direction):
         delta = float(g.csr().values.mean()) / 4
     stats = sssp(g, 0, delta=delta, direction=direction).stats
     assert stats.total_edges_touched <= 2 * g.n_edges
+
+
+def test_pull_matches_push_at_linear_work(grid48):
+    # Pull gathers only from the active set: the same near-linear edge
+    # work as push and the same distances, bit for bit.
+    push = sssp(grid48, 0)
+    pull = sssp(grid48, 0, direction="pull")
+    assert np.array_equal(push.distances, pull.distances)
+    assert pull.stats.total_edges_touched <= 2 * grid48.n_edges
 
 
 # -- resilience ------------------------------------------------------------------

@@ -66,6 +66,21 @@ class TestNeighborsExpand:
         for name, arr in results.items():
             assert np.array_equal(arr, base), f"{name} diverged from seq"
 
+    def test_expand_semantics_identical_across_policies(self, rmat10):
+        """Listing 3's claim: every overload emits the same output set."""
+        from repro.execution import par_nosync
+
+        n = rmat10.n_vertices
+        f = SparseFrontier.from_indices(np.arange(0, n, 10, dtype=np.int32), n)
+        outs = [
+            np.sort(
+                neighbors_expand(p, rmat10, f, lambda s, d, e, w: w < 5.0).to_indices()
+            )
+            for p in (seq, par, par_nosync, par_vector)
+        ]
+        for arr in outs[1:]:
+            assert np.array_equal(arr, outs[0])
+
     def test_empty_frontier(self, diamond_graph, policy):
         out = neighbors_expand(
             policy, diamond_graph, SparseFrontier(4), lambda *a: True
@@ -385,6 +400,37 @@ class TestLoadBalance:
         imb_vertex = chunk_imbalance(degrees, vertex_balanced_chunks(1000, 4))
         assert imb_edge < imb_vertex
         assert imb_edge < 2.1  # hub alone is ~half the work -> bounded
+
+    def test_skewed_degrees_need_edge_balance(self, rmat10):
+        # The frontier in vertex-id order (natural advance order), 8 chunks.
+        degrees = rmat10.out_degrees()
+        imb_vertex = chunk_imbalance(
+            degrees, vertex_balanced_chunks(degrees.shape[0], 8)
+        )
+        imb_edge = chunk_imbalance(degrees, edge_balanced_chunks(degrees, 8))
+        assert imb_edge < imb_vertex
+        assert imb_edge < 1.6
+
+    def test_uniform_degrees_already_balanced(self, grid48):
+        degrees = grid48.out_degrees()
+        imb_vertex = chunk_imbalance(
+            degrees, vertex_balanced_chunks(degrees.shape[0], 8)
+        )
+        assert imb_vertex < 1.1
+
+    def test_star_pathology(self):
+        """One hub owning every edge: vertex balance is maximally wrong,
+        edge balance gives the hub its own chunk."""
+        from repro.graph.generators import star
+
+        degrees = star(10_000, directed=True).out_degrees()
+        imb_vertex = chunk_imbalance(
+            degrees, vertex_balanced_chunks(degrees.shape[0], 8)
+        )
+        imb_edge = chunk_imbalance(degrees, edge_balanced_chunks(degrees, 8))
+        assert imb_vertex >= 8 * 0.9  # one chunk has ~all the work
+        assert imb_edge <= 1.01 * 8  # the hub is unsplittable...
+        assert imb_edge <= imb_vertex
 
     def test_edge_chunks_cover_everything(self):
         degrees = np.random.default_rng(0).integers(0, 50, size=137)

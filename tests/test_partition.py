@@ -26,6 +26,8 @@ ALL_PARTITIONERS = [
     ("fennel", lambda g, k: fennel_partition(g, k, seed=0)),
     ("metis_like", lambda g, k: metis_like_partition(g, k, seed=0)),
 ]
+# The Table I heuristics: random, then the informed ones.
+HEURISTICS = [p for p in ALL_PARTITIONERS if p[0] not in ("contiguous", "round_robin")]
 
 
 class TestAssignment:
@@ -151,6 +153,42 @@ class TestQualityOrdering:
         cut_random = edge_cut(g, random_partition(g, 4, seed=0))
         cut_ldg = edge_cut(g, ldg_partition(g, 4, seed=0))
         assert cut_ldg < cut_random
+
+    @pytest.mark.parametrize("k", [2, 4, 8, 16])
+    def test_metis_beats_random_on_grid(self, grid48, k):
+        cut_rand = edge_cut(grid48, random_partition(grid48, k, seed=1))
+        cut_metis = edge_cut(grid48, metis_like_partition(grid48, k, seed=1))
+        assert cut_metis < cut_rand / 4
+
+    def test_streaming_lands_between(self, ws10):
+        cut_rand = edge_cut(ws10, random_partition(ws10, 4, seed=2))
+        cut_ldg = edge_cut(ws10, ldg_partition(ws10, 4, seed=2))
+        cut_metis = edge_cut(ws10, metis_like_partition(ws10, 4, seed=2))
+        assert cut_metis < cut_ldg < cut_rand
+
+    def test_random_cut_fraction_matches_theory(self, grid48):
+        """Random k-way cuts ~ (k-1)/k of edges."""
+        k = 4
+        cut = edge_cut(grid48, random_partition(grid48, k, seed=3))
+        expected = grid48.n_edges * (k - 1) / k
+        assert abs(cut - expected) / expected < 0.1
+
+    def test_rmat_resists_partitioning(self, rmat10, grid48):
+        """Power-law graphs partition far worse than lattices: the best
+        heuristic's relative cut on RMAT stays a large fraction of the
+        random cut, while on the grid it is a small fraction."""
+
+        def best_rel_cut(g):
+            rand = edge_cut(g, random_partition(g, 4, seed=4))
+            best = min(edge_cut(g, fn(g, 4)) for _, fn in HEURISTICS[1:])
+            return best / max(rand, 1)
+
+        assert best_rel_cut(rmat10) > 3 * best_rel_cut(grid48)
+
+    @pytest.mark.parametrize("name,fn", HEURISTICS, ids=[h[0] for h in HEURISTICS])
+    @pytest.mark.parametrize("graph", ["grid48", "ws10"])
+    def test_heuristics_balanced_at_k4(self, request, graph, name, fn):
+        assert load_balance(fn(request.getfixturevalue(graph), 4)) < 1.6
 
     def test_metis_like_respects_balance_cap(self):
         g = rmat(9, 8, seed=1, directed=False)

@@ -73,13 +73,31 @@ class TestPageRankProgram:
     def test_matches_operator_pagerank_fixed_rounds(self):
         g = erdos_renyi_gnp(60, 0.08, seed=3)  # unweighted
         ours = pagerank(g, tolerance=0.0, max_iterations=30).ranks
-        theirs = pregel_pagerank(g, rounds=30)
+        theirs = pregel_pagerank(g, rounds=30).ranks
         assert np.allclose(ours, theirs, atol=1e-8)
 
     def test_ranks_are_distribution(self):
         g = erdos_renyi_gnp(60, 0.08, seed=4)
-        out = pregel_pagerank(g, rounds=20)
+        out = pregel_pagerank(g, rounds=20).ranks
         assert out.sum() == pytest.approx(1.0, abs=1e-6)
+
+    def test_result_carries_the_loop_stats(self, tmp_path, capsys):
+        """Ranks plus the Enactor's stats, as every registry entry
+        returns: superstep 0 seeds the ranks, then one superstep per
+        round, so ``repro run`` and a service query report them."""
+        from repro.cli import main
+        from repro.graph.io import save_graph_npz
+        from repro.service.queries import execute_query
+
+        g = erdos_renyi_gnp(60, 0.08, seed=4)
+        r = pregel_pagerank(g, rounds=30)
+        assert r.stats.num_iterations == 31
+        assert r.stats.total_edges_touched > 0
+        assert execute_query(g, "pregel_pagerank", {})["iterations"] == 31
+        path = tmp_path / "g.npz"
+        save_graph_npz(g, str(path))
+        assert main(["run", "pregel_pagerank", str(path), "--no-ledger"]) == 0
+        assert "pregel_pagerank: 31 supersteps" in capsys.readouterr().out
 
     def test_round_budget_respected(self):
         g = chain(10)

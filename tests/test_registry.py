@@ -2,6 +2,7 @@
 profile`` and the query service dispatch from."""
 
 import inspect
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from repro.observability.probe import Probe
 from repro.resilience.deadline import CancelToken
 from repro.service import GraphCatalog, QueryService, ServiceConfig
 from repro.service.protocol import validate_request
+from repro.utils.counters import RunStats
 
 PLAN_FIELDS = set(WIRE_TYPES) | {"resilience"}
 
@@ -58,13 +60,7 @@ def test_every_entry_runs_its_supersteps_on_the_loop(name, rmat8):
         s for s in probe.tracer.spans()
         if s.name == LOOP_SPAN.get(name, "superstep")
     ]
-    metrics = probe.metrics
-    stats = getattr(result, "stats", None)
-    if stats is None:  # an entry returning its value array
-        supersteps = metrics.counter("loop.supersteps").value
-        edges = metrics.counter("loop.edges_expanded").value
-    else:
-        supersteps, edges = stats.num_iterations, stats.total_edges_touched
+    supersteps, edges = result.stats.num_iterations, result.stats.total_edges_touched
     assert supersteps >= 1
     assert len(spans) == supersteps
     assert edges > 0
@@ -95,9 +91,15 @@ def test_the_service_runs_exactly_the_deadline_aware_entries():
         validate_request({"op": "query", "graph": "g", "algorithm": "hits"})
 
 
+@dataclass
+class _ToyResult:
+    degrees: np.ndarray
+    stats: RunStats = field(default_factory=RunStats)
+
+
 def _toy(graph, *, policy="seq", seed=3):
     """Every vertex's out-degree, as a minimal registry entry."""
-    return graph.out_degrees().astype(np.float64) + seed
+    return _ToyResult(graph.out_degrees().astype(np.float64) + seed)
 
 
 def test_a_toy_spec_runs_through_run_and_profile(
@@ -109,7 +111,8 @@ def test_a_toy_spec_runs_through_run_and_profile(
         AlgorithmSpec(
             _toy,
             ("policy", "seed"),
-            extra=lambda g, r: {"top": float(r.max())},
+            "degrees",
+            extra=lambda g, r: {"top": float(r.degrees.max())},
             summary="top: {top}",
         ),
     )

@@ -138,6 +138,10 @@ class TestLabelPropagation:
         r = label_propagation_communities(g)
         assert modularity(g, r.labels) > 0.3
 
+    def test_community_quality_positive(self, ws10):
+        r = label_propagation_communities(ws10, seed=0)
+        assert modularity(ws10, r.labels) > 0.2
+
     def test_modularity_extremes(self):
         g = complete(6)
         # All one community: Q = 0 for complete graph partitioned trivially

@@ -1,11 +1,14 @@
 """Tests for SSSP: Listing 4 parity, every policy/variant vs oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.algorithms.sssp import sssp, sssp_async
 from repro.baselines import bellman_ford, dijkstra, nx_shortest_paths
 from repro.errors import FrontierError
+from repro.execution import par_vector
 from repro.graph import from_edge_list
 from repro.graph.generators import chain, erdos_renyi_gnp, grid_2d, rmat, star
 from repro.types import INF
@@ -70,6 +73,61 @@ class TestPolicyInvariance:
     def test_dense_output_representation(self, weighted_grid):
         r = sssp(weighted_grid, 0, output_representation="dense")
         assert_distances_match(r.distances, dijkstra(weighted_grid, 0))
+
+
+class TestVariantShapes:
+    """The formulation choices the abstraction admits (output
+    representation, near band, Listing 4 verbatim, async messages,
+    frontier dedup) change supersteps and work, never the answer."""
+
+    def test_all_variants_same_answer(self, grid48):
+        base = sssp(grid48, 0).distances
+        for dist in (
+            sssp(grid48, 0, output_representation="dense").distances,
+            sssp(grid48, 0, delta=float(grid48.csr().values.mean()) / 4).distances,
+            sssp(grid48, 0, delta=math.inf).distances,
+            sssp_async(grid48, 0, timeout=600).distances,
+        ):
+            assert np.allclose(base, dist, atol=1e-2)
+
+    def test_all_variants_agree_with_dijkstra(self, grid48):
+        ref = dijkstra(grid48, 0)
+        for dist in (
+            sssp(grid48, 0, policy=par_vector).distances,
+            sssp(grid48, 0, delta=math.inf).distances,
+            bellman_ford(grid48, 0),
+        ):
+            assert np.allclose(dist, ref, atol=1e-2)
+
+    def test_dedup_reduces_edge_work_on_dense_graphs(self, rmat10_directed):
+        on = sssp(rmat10_directed, 0, deduplicate_frontier=True)
+        off = sssp(rmat10_directed, 0, deduplicate_frontier=False)
+        assert on.stats.total_edges_touched <= off.stats.total_edges_touched
+
+
+class TestTimingShapes:
+    """Table I's timing pillar: superstep count tracks diameter, and the
+    asynchronous engine reaches BSP's answer."""
+
+    def test_superstep_count_tracks_diameter(self, grid48, rmat10_directed):
+        grid_iters = sssp(grid48, 0, policy=par_vector).stats.num_iterations
+        rmat_iters = sssp(rmat10_directed, 0, policy=par_vector).stats.num_iterations
+        # Grid diameter ~ 2*side; RMAT diameter ~ log(n).
+        assert grid_iters > 10 * rmat_iters
+
+    def test_async_and_bsp_agree(self, grid48):
+        bsp = sssp(grid48, 0, policy=par_vector).distances
+        asy = sssp_async(grid48, 0, num_workers=4, timeout=600).distances
+        assert np.allclose(bsp, asy, atol=1e-3)
+
+    def test_grid_frontiers_narrow_rmat_frontiers_wide(self, grid48, rmat10_directed):
+        grid_stats = sssp(grid48, 0, policy=par_vector).stats
+        rmat_stats = sssp(rmat10_directed, 0, policy=par_vector).stats
+        grid_peak = max(s.frontier_size for s in grid_stats.iterations)
+        rmat_peak = max(s.frontier_size for s in rmat_stats.iterations)
+        # Peak active fraction: tiny on the grid, large on RMAT.
+        assert grid_peak / grid48.n_vertices < 0.25
+        assert rmat_peak / rmat10_directed.n_vertices > 0.25
 
 
 class TestAsyncSSSP:
