@@ -107,6 +107,24 @@ class TestPageRankProgram:
         assert engine.stats.supersteps <= 9
 
 
+class TestWorkAccounting:
+    """A superstep books the edges its send scanned: one per message, so
+    a superstep where no vertex sends books none."""
+
+    @pytest.mark.parametrize("program", ["sssp", "pagerank"])
+    def test_edges_touched_are_messages_sent(self, small_rmat, program):
+        n = small_rmat.n_vertices
+        engine = PregelEngine(small_rmat)
+        if program == "sssp":
+            engine.run(SSSPProgram(0), np.full(n, float(INF)))
+        else:
+            engine.run(PageRankProgram(n, rounds=10), np.full(n, 1.0 / n))
+        assert engine.stats.total_messages > 0
+        assert (
+            engine.run_stats.total_edges_touched == engine.stats.total_messages
+        )
+
+
 class TestComponentsProgram:
     def test_matches_union_find(self):
         g = watts_strogatz(120, 4, 0.02, seed=5)
