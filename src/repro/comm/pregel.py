@@ -324,6 +324,7 @@ class PregelEngine:
             _reset(has_msg, ctx["delivered"], False)
             with probe.span("pregel:send", senders=int(senders.size)) as span:
                 src, dst, weight = _out_edges(graph, senders, enactor.workspace)
+                state.edges_scanned = int(src.size)
                 msgs = np.asarray(
                     program.send(values, src, dst, weight), dtype=np.float64
                 )
