@@ -1,12 +1,15 @@
-"""Breadth-first search: push, pull, and direction-optimized traversal.
+"""Breadth-first search: push, pull, and direction-optimizing traversal.
 
 BFS is the pillar-3 demonstrator (§III-C): the same algorithm written
 against the CSR (push — expand out-edges of the frontier) or the CSC
-(pull — every unvisited vertex scans in-edges for a visited parent),
-plus the Beamer-style direction-optimizing hybrid that switches to pull
-while the frontier is large and back to push when it shrinks — the
-switch is driven by the frontier's ``active_fraction``, i.e. by exactly
-the size heuristic the paper attaches to frontier representations.
+(pull — every unvisited vertex scans its in-edges and stops at the
+first visited parent), plus Beamer's direction-optimizing hybrid, the
+default.  The hybrid switches on counted edges, as GAP does: ``m_f`` is
+the frontier's out-degree sum and ``m_u`` the edges push has not yet
+explored (``m``, less each push superstep's ``m_f``).  It pulls once the
+frontier is growing and ``m_f · ALPHA > m_u``, and pushes again once
+``|f| · BETA < n``.  Each superstep books as its work the edges its
+kernel scanned: ``m_f`` on push, the early-exit count on pull.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from repro.frontier.sparse import SparseFrontier
 from repro.graph.graph import Graph
 from repro.loop.enactor import Enactor
 from repro.operators.advance import neighbors_expand
+from repro.operators.fused import DEFAULT_ALPHA as ALPHA, DEFAULT_BETA as BETA
 from repro.operators.fused import claim_levels_condition, fused_kernel_of
 from repro.operators.uniquify import uniquify
 from repro.execution.policy import (
@@ -58,9 +62,7 @@ def bfs(
     source: int,
     *,
     policy: Union[str, ExecutionPolicy] = par_vector,
-    direction: str = "push",
-    pull_threshold: float = 0.05,
-    push_back_threshold: float = 0.01,
+    direction: str = "auto",
     resilience=None,
     backend: str = "native",
 ) -> BFSResult:
@@ -70,9 +72,9 @@ def bfs(
     ----------
     direction:
         ``"push"`` — expand the frontier's out-edges (CSR);
-        ``"pull"`` — candidates scan in-edges for a visited parent (CSC);
-        ``"auto"`` — direction-optimized: pull while the frontier holds
-        more than ``pull_threshold`` of all vertices, push otherwise.
+        ``"pull"`` — unvisited vertices scan in-edges for a visited
+        parent (CSC), each stopping at the first;
+        ``"auto"`` — direction-optimizing (module docstring).
     resilience:
         Optional :class:`~repro.resilience.ResiliencePolicy` — superstep
         retry under chaos plus checkpointing of levels and parents.
@@ -99,56 +101,68 @@ def bfs(
     if direction == "pull":
         graph.csc()  # materialize the transposed view up front
 
-    # Claim destinations not yet visited.  Duplicate dsts within a batch
-    # both pass (several parents discover one child); the level write is
-    # idempotent and the parent write races benignly (any discovered
-    # parent is a valid BFS parent).  The factory's condition carries a
-    # fused claim kernel, so the vectorized policy runs discovery as one
-    # pass; every other policy calls the condition exactly as before.
+    # Claim destinations not yet visited: push keeps the last of several
+    # discovering parents, pull the first visited in-neighbour; any is a
+    # valid BFS parent.  The factory's condition carries a fused claim
+    # kernel, so the vectorized policy runs discovery as one pass; every
+    # other policy calls the condition exactly as before.
     discover = claim_levels_condition(levels, parents, unreached=UNREACHED)
 
     enactor = Enactor(graph)
     ws = enactor.workspace
+    degrees = graph.out_degrees()
 
     # The fused claim kernel (vectorized policy) and every pull overload
     # emit deduplicated frontiers already; only the unfused push paths
     # may surface one child per discovering parent.
-    emits_sets = (
-        isinstance(policy, VectorPolicy)
-        and fused_kernel_of(discover) is not None
+    kernel = (
+        fused_kernel_of(discover) if isinstance(policy, VectorPolicy) else None
     )
-
-    def push_step(frontier, state):
-        out = neighbors_expand(policy, graph, frontier, discover, workspace=ws)
-        return out if emits_sets else uniquify(policy, out, workspace=ws)
 
     def pull_step(frontier, state):
         candidates = np.nonzero(levels == UNREACHED)[0].astype(VERTEX_DTYPE)
         out = neighbors_expand(
-            policy,
-            graph,
-            frontier,
-            discover,
-            direction="pull",
-            candidates=candidates,
-            workspace=ws,
+            policy, graph, frontier, discover, direction="pull",
+            candidates=candidates, workspace=ws,
         )
-        return out if emits_sets else uniquify(policy, out, workspace=ws)
+        # The generic pull reads every candidate's in-edges.
+        state.edges_scanned = kernel.scanned if kernel is not None else int(
+            np.add.reduce(graph.in_degrees().take(candidates))
+        )
+        return out
 
-    if direction == "auto":
+    if direction == "pull":
+        step = pull_step
+    else:
+        auto = direction == "auto"
+        unexplored = graph.n_edges  # m_u
+        last_size = 0
+        pulling = False
 
         def step(frontier, state):
-            frac = frontier.active_fraction()
-            use_pull = frac >= pull_threshold or (
-                result.directions
-                and result.directions[-1] == "pull"
-                and frac > push_back_threshold
+            nonlocal unexplored, last_size, pulling
+            active = (
+                frontier.indices_view()
+                if isinstance(frontier, SparseFrontier)
+                else frontier.to_indices()
             )
-            result.directions.append("pull" if use_pull else "push")
-            return (pull_step if use_pull else push_step)(frontier, state)
-
-    else:
-        step = push_step if direction == "push" else pull_step
+            m_f = int(np.add.reduce(degrees.take(active)))
+            if auto:
+                size = active.size
+                if pulling:
+                    pulling = size * BETA >= n
+                else:
+                    pulling = size > last_size and m_f * ALPHA > unexplored
+                last_size = size
+                result.directions.append("pull" if pulling else "push")
+                if pulling:
+                    return pull_step(frontier, state)
+                unexplored -= m_f
+            state.edges_scanned = m_f
+            out = neighbors_expand(policy, graph, frontier, discover, workspace=ws)
+            if kernel is not None:
+                return out
+            return uniquify(policy, out, workspace=ws)
 
     frontier = SparseFrontier.from_indices([source], n)
     result.stats = enactor.run(

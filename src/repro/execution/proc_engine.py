@@ -49,7 +49,7 @@ from repro.types import VERTEX_DTYPE
 
 Range = Tuple[int, int]
 
-_NO_UPDATES = (np.empty(0, dtype=VERTEX_DTYPE), np.empty(0, dtype=np.float64))
+_NO_UPDATES = (np.empty(0, dtype=VERTEX_DTYPE), np.empty(0, dtype=np.float64), 0)
 
 
 def _shm_ref(descriptor: shm.Descriptor) -> Tuple[str, shm.Descriptor]:
@@ -238,8 +238,9 @@ class ProcEngine:
         Push: every worker expands ``work_ids`` (the frontier) over its
         slice.  Pull: each worker scans the in-edges of the candidates
         ``work_ids`` inside its range (``None``: all of them) against
-        ``active``.  Returns ``(winners, new_values)`` — sorted, unique;
-        for claim rounds the values are parents.
+        ``active``.  Returns ``(winners, new_values, scanned)`` —
+        winners sorted, unique; for claim rounds the values are parents
+        and ``scanned`` sums the in-edges the workers' pulls read.
         """
         n_workers = self._worker_count(policy)
         pool = get_proc_pool(n_workers)
@@ -277,6 +278,7 @@ class ProcEngine:
         return (
             np.concatenate([r["winners"] for r in replies]),
             np.concatenate([r["values"] for r in replies]),
+            sum(r["scanned"] or 0 for r in replies),
         )
 
     # -- pagerank ----------------------------------------------------------------------
@@ -390,16 +392,16 @@ def proc_expand(
             work_ids = np.asarray(candidates, dtype=VERTEX_DTYPE).ravel()
         active = active_flags(frontier, graph.n_vertices)
     if work_ids is not None and work_ids.size == 0:
-        return output
-    winners, new_values = get_engine().advance(
-        policy, graph, kernel, direction=direction, work_ids=work_ids,
-        active=active,
-    )
-    if winners.size == 0:
-        return output
+        winners, new_values, scanned = _NO_UPDATES
+    else:
+        winners, new_values, scanned = get_engine().advance(
+            policy, graph, kernel, direction=direction, work_ids=work_ids,
+            active=active,
+        )
     if kernel.name == "min_relax":
         kernel.values[winners] = new_values
     else:
+        kernel.scanned = scanned
         kernel.parents[winners] = new_values
         kernel.stamp_levels(winners)
-    return emit(output, winners)
+    return emit(output, winners) if winners.size else output

@@ -14,7 +14,8 @@ Two rules keep the rounds exact and restartable:
 
 1. **Workers never write shared state.**  Source values are read from
    the parent's pre-round mirror; the per-destination fold (min for
-   min-relax, last write in edge order for claim) happens in a private
+   min-relax; for claim, the last write in edge order on push and the
+   first active in-neighbour on pull) happens in a private
    scratch array, allocated per round (only its touched pages are
    ever mapped).  A worker killed mid-round is respawned and the same round
    re-dispatched, with the same result.
@@ -82,22 +83,25 @@ def claim_range(
     levels: np.ndarray, lo: int, hi: int, *,
     vertices: Optional[np.ndarray] = None, active: Optional[np.ndarray] = None,
     unreached: int = -1,
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, Optional[int]]:
     """One worker's BFS-discovery round over ``[lo, hi)`` (arrays as in
-    :func:`min_relax_range`); returns the claimed vertices and their
-    parents — the parent process stamps the levels."""
+    :func:`min_relax_range`); returns the claimed vertices, their
+    parents — the parent process stamps the levels — and, for pull, the
+    in-edges the early exit read (push: ``None``, the loop books the
+    frontier's out-degree sum)."""
     parents = np.empty(hi - lo, dtype=VERTEX_DTYPE)
+    scanned = None
     if direction == "push":
         winners = claim_push(
             offsets, targets, levels, vertices, parents, lo=lo,
             unreached=unreached,
         )
     else:
-        winners = claim_pull(
+        winners, scanned = claim_pull(
             offsets, targets, levels, active, _local(vertices, lo, hi),
             parents, lo=lo, unreached=unreached,
         )
-    return winners + lo, parents.take(winners)
+    return winners + lo, parents.take(winners), scanned
 
 
 def pagerank_range(

@@ -13,7 +13,8 @@ travels through shared memory or as the range's ``(winners, values)``
 the round returns):
 
 * ``{"cmd": "round", "id", "fn", "args", "retire"}`` → ``{"id", "ok",
-  "winners", "values", "busy"}`` — run one partition round.
+  "winners", "values", "scanned", "busy"}`` — run one partition round
+  (``scanned``: the edges a pull claim read, else ``None``).
   ``retire`` lists shared segments whose cached attachments must drop.
 * ``{"cmd": "ping"}`` → liveness probe; ``{"cmd": "exit"}`` → drain and
   leave.
@@ -139,10 +140,12 @@ def _worker_main(rank: int, conn) -> None:  # pragma: no cover - child process
             if fn is proc_kernels.pagerank_range:
                 fn(**args)  # writes its rows of the shared output
                 winners = values = None
+                scanned = ()
             else:
-                winners, values = fn(**args)
+                winners, values, *scanned = fn(**args)
             reply = {"id": msg["id"], "ok": True, "winners": winners,
-                     "values": values, "busy": time.perf_counter() - t0}
+                     "values": values, "scanned": scanned[0] if scanned else None,
+                     "busy": time.perf_counter() - t0}
         except Exception as exc:  # surface, don't die: the round failed
             reply = {"id": msg["id"], "ok": False,
                      "error": f"{type(exc).__name__}: {exc}",

@@ -25,8 +25,8 @@ class LoopState:
     its per-iteration delta there) so conditions stay decoupled from
     algorithm internals.  ``edges_scanned`` is the step's own count of
     the edges it read, for a step whose frontier is not the set of
-    sources it scanned (edge ids, a component set); left ``None``, the
-    enactor counts the frontier's out-degree sum.
+    sources it scanned (edge ids, a component set, an early-exit pull);
+    left ``None``, the enactor counts the frontier's out-degree sum.
     """
 
     iteration: int = 0

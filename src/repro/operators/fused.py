@@ -32,19 +32,20 @@ range (:func:`relax_push`, :func:`relax_pull`, :func:`claim_push`,
 graph, each ``par_proc`` worker over the slice of the graph holding the
 in-edges of the range it owns (:mod:`repro.execution.proc_kernels`).
 
-The same module holds the frontier-adaptive dispatch heuristics the
-enactor layer uses (§III-C's direction choice, made per-iteration):
-:func:`choose_direction` is the Beamer alpha/beta push↔pull rule driven
-by frontier size × average degree; :class:`DirectionOptimizer` adds the
-hysteresis (stay pulled until the frontier re-narrows);
-:func:`choose_representation` picks sparse vs dense output frontiers at
-a density threshold.
+The same module holds the frontier-adaptive dispatch heuristics
+(§III-C's direction choice, made per-iteration): :data:`DEFAULT_ALPHA`
+and :data:`DEFAULT_BETA` are the one pair of Beamer push↔pull
+thresholds, read by BFS's counted-edge switch
+(:mod:`repro.algorithms.bfs`) and by :func:`choose_direction`, the
+estimate ``neighbors_expand(direction="auto")`` makes from frontier size
+× average degree; :func:`choose_representation` picks sparse vs dense
+output frontiers at a density threshold.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -55,16 +56,16 @@ from repro.graph.graph import Graph
 from repro.operators.conditions import bulk_condition
 from repro.execution.atomics import bulk_min_relax
 from repro.execution.workspace import Workspace
-from repro.types import VERTEX_DTYPE
+from repro.types import EDGE_DTYPE, VERTEX_DTYPE
 
 #: Attribute carrying a condition's fused kernel (when eligible).
 FUSED_ATTR = "__repro_fused_kernel__"
 
-#: Beamer direction-optimization defaults (alpha: push→pull when the
-#: frontier's edge estimate exceeds m/alpha; beta: pull→push when the
-#: frontier shrinks under n/beta).
-DEFAULT_ALPHA = 14.0
-DEFAULT_BETA = 24.0
+#: Beamer direction-optimization thresholds (alpha: push→pull when the
+#: frontier's out-edges exceed the unexplored edges / alpha; beta:
+#: pull→push when the frontier shrinks under n / beta) — GAP's values.
+DEFAULT_ALPHA = 15.0
+DEFAULT_BETA = 18.0
 
 #: Output frontiers denser than this fraction of the graph switch to
 #: the bitmap representation (measured on the *input* frontier, the
@@ -186,13 +187,15 @@ def _gather_segments(offsets, vertices, workspace):
     # Segment base of each edge slot: ends - cum == starts - (cum - counts).
     base = np.subtract(ends, cum, out=ends)  # ends dies here
     edge_ids = base.repeat(counts)
-    ramp = (
-        workspace.arange(total)
-        if workspace is not None
-        else np.arange(total, dtype=edge_ids.dtype)
-    )
-    np.add(ramp, edge_ids, out=edge_ids)
+    np.add(_ramp(total, workspace), edge_ids, out=edge_ids)
     return edge_ids, counts
+
+
+def _ramp(total, workspace):
+    """``0 .. total - 1``, the workspace's cached ramp when pooled."""
+    if workspace is not None:
+        return workspace.arange(total)
+    return np.arange(total, dtype=EDGE_DTYPE)
 
 
 def sort_unique(ids: np.ndarray) -> np.ndarray:
@@ -315,18 +318,6 @@ def _fold_min(current, dsts, cand, out, workspace):
     return dedup_ids(winners, out.shape[0], workspace)
 
 
-def _claim(current, dsts, sources_of, parents, unreached, workspace):
-    """Claim the destinations still ``unreached`` in ``current`` (the
-    range's pre-round levels), writing each one's source into
-    ``parents`` — last write in edge order wins."""
-    fresh = current.take(dsts) == unreached
-    claimed = dsts.compress(fresh)
-    if not claimed.size:
-        return _NO_WINNERS
-    parents[claimed] = sources_of(fresh)
-    return dedup_ids(claimed, parents.shape[0], workspace)
-
-
 def relax_push(
     offsets: np.ndarray, targets: np.ndarray, weights: Optional[np.ndarray],
     values: np.ndarray, vertices: np.ndarray, *, lo: int = 0,
@@ -376,32 +367,79 @@ def claim_push(
     unreached: int = -1, workspace: Optional[Workspace] = None,
 ) -> np.ndarray:
     """Claim the range's unreached children of ``vertices`` (arrays as
-    in :func:`relax_push`) into the range-local ``parents``.  A slice
-    keeps every destination's edges in CSR order, so its last-write
+    in :func:`relax_push`) into the range-local ``parents``, freshness
+    read from the range's pre-round levels.  Last write in edge order
+    wins; a slice keeps every destination's edges in CSR order, so its
     parent is the whole graph's."""
     edges = _push_edges(offsets, targets, vertices, workspace)
     if edges is None:
         return _NO_WINNERS
     _, dsts, counts = edges
-    return _claim(
-        levels[lo:], dsts, lambda fresh: vertices.repeat(counts).compress(fresh),
-        parents, unreached, workspace,
-    )
+    fresh = levels[lo:].take(dsts) == unreached
+    claimed = dsts.compress(fresh)
+    if not claimed.size:
+        return _NO_WINNERS
+    parents[claimed] = vertices.repeat(counts).compress(fresh)
+    return dedup_ids(claimed, parents.shape[0], workspace)
 
 
 def claim_pull(
     offsets: np.ndarray, sources: np.ndarray, levels: np.ndarray,
     active: np.ndarray, vertices: np.ndarray, parents: np.ndarray, *,
     lo: int = 0, unreached: int = -1, workspace: Optional[Workspace] = None,
-) -> np.ndarray:
-    """Unreached range-local ``vertices`` scan their in-edges for an
-    active parent (arrays as in :func:`relax_pull`, ``parents`` as in
-    :func:`claim_push`)."""
-    edges = _pull_edges(offsets, sources, active, vertices, workspace)
-    if edges is None:
-        return _NO_WINNERS
-    _, srcs, dsts = edges
-    return _claim(levels[lo:], dsts, srcs.compress, parents, unreached, workspace)
+) -> Tuple[np.ndarray, int]:
+    """The still-unreached range-local ``vertices`` scan their in-edges
+    for an ``active`` parent and stop at the first one (arrays as in
+    :func:`relax_pull`, ``parents`` as in :func:`claim_push`).
+
+    Beamer's bottom-up step with GraphBLAST's early exit, vectorized in
+    rounds: each candidate still scanning reads its next 1, 1, 2, 4, …
+    in-edges, and leaves once it has found an active source or run out
+    of in-edges — at most twice the edges of a one-at-a-time exit, in
+    ⌈log₂ d_max⌉ + 2 rounds.  The parent is the first active
+    in-neighbour in CSC order, which a column slice keeps.  Returns the
+    sorted unique winners and the number of in-edges read.
+    """
+    cand = vertices.compress(levels[lo:].take(vertices) == unreached)
+    pos = offsets.take(cand)
+    end = offsets.take(cand + 1)
+    left = pos < end
+    cand, pos, end = cand.compress(left), pos.compress(left), end.compress(left)
+    claimed = [_NO_WINNERS]
+    scanned = rounds = 0
+    while cand.size:
+        width = 1 << max(rounds - 1, 0)  # edges per candidate: 1, 1, 2, 4, …
+        rounds += 1
+        if width == 1:
+            counts = 1
+            srcs = sources.take(pos)
+            found = active.take(srcs)
+            firsts = srcs.compress(found)
+        else:
+            counts = np.minimum(end - pos, width)
+            starts = counts.cumsum()
+            starts -= counts  # where each candidate's slots begin
+            seg = (pos - starts).repeat(counts)
+            ramp = _ramp(seg.size, workspace)
+            seg += ramp
+            srcs = sources.take(seg)
+            # Each candidate's first active slot: the smallest slot left
+            # once inactive ones are pushed past the end.
+            first = np.minimum.reduceat(
+                np.where(active.take(srcs), ramp, seg.size), starts
+            )
+            found = first < seg.size
+            firsts = srcs.take(first.compress(found))
+        scanned += srcs.size
+        won = cand.compress(found)
+        parents[won] = firsts
+        claimed.append(won)
+        pos += counts
+        left = ~found
+        left &= pos < end
+        cand, pos, end = cand.compress(left), pos.compress(left), end.compress(left)
+    winners = np.concatenate(claimed)
+    return dedup_ids(winners, parents.shape[0], workspace), scanned
 
 
 # -- in-process kernels: the whole-range calls ---------------------------------------
@@ -451,10 +489,13 @@ class ClaimLevelsKernel(FusedKernel):
     """Fused BFS discovery: claim unvisited destinations, stamping level
     and parent in the same pass.
 
-    Matches the classic bulk ``discover`` condition exactly: freshness
-    is evaluated against pre-batch levels (so several parents of one
-    child all pass) and the level/parent writes are last-write-wins,
-    which is benign — any discovering parent is a valid BFS parent.
+    Push matches the classic bulk ``discover`` condition exactly:
+    freshness is evaluated against pre-batch levels (so several parents
+    of one child all pass) and the level/parent writes are
+    last-write-wins, which is benign — any discovering parent is a
+    valid BFS parent.  Pull stops each candidate at its first active
+    in-neighbour (:func:`claim_pull`) and records the in-edges it read
+    in ``scanned``.
     """
 
     name = "claim_levels"
@@ -465,6 +506,8 @@ class ClaimLevelsKernel(FusedKernel):
         self.levels = levels
         self.parents = parents
         self.unreached = unreached
+        #: In-edges the last pull read (the superstep's work).
+        self.scanned = 0
 
     def stamp_levels(self, winners: np.ndarray) -> None:
         """Level each winner one past the parent it was claimed by."""
@@ -490,7 +533,7 @@ class ClaimLevelsKernel(FusedKernel):
         """Unvisited candidates scan in-edges for a visited parent."""
         csc = graph.csc()
         n = graph.n_vertices
-        winners = claim_pull(
+        winners, self.scanned = claim_pull(
             csc.col_offsets, csc.row_indices, self.levels,
             active_flags(frontier, n, workspace), _candidate_ids(n, candidates),
             self.parents, unreached=self.unreached, workspace=workspace,
@@ -605,48 +648,6 @@ def choose_direction(
     if last_direction == "pull":
         return "push" if size < n / beta else "pull"
     return "pull" if frontier_edges > m / alpha else "push"
-
-
-class DirectionOptimizer:
-    """Stateful direction chooser: :func:`choose_direction` + memory.
-
-    One instance serves one run; ``choose`` records its decision so the
-    hysteresis branch sees the previous superstep's direction, and
-    ``history`` keeps the per-iteration choices for result objects and
-    span-level assertions.
-    """
-
-    def __init__(
-        self,
-        graph: Graph,
-        *,
-        alpha: float = DEFAULT_ALPHA,
-        beta: float = DEFAULT_BETA,
-    ) -> None:
-        if alpha <= 0 or beta <= 0:
-            raise ValueError(
-                f"alpha and beta must be positive, got {alpha}, {beta}"
-            )
-        self.graph = graph
-        self.alpha = alpha
-        self.beta = beta
-        self.history: list = []
-
-    @property
-    def last_direction(self) -> str:
-        return self.history[-1] if self.history else "push"
-
-    def choose(self, frontier: Frontier) -> str:
-        """Pick push/pull for this superstep and record the choice."""
-        direction = choose_direction(
-            self.graph,
-            frontier,
-            alpha=self.alpha,
-            beta=self.beta,
-            last_direction=self.last_direction,
-        )
-        self.history.append(direction)
-        return direction
 
 
 def choose_representation(

@@ -71,12 +71,29 @@ class TestDirectionOptimized:
         r = bfs(g, 0, direction="auto")
         assert all(d == "push" for d in r.directions)
 
-    def test_thresholds_configurable(self):
-        g = binary_tree(6)
-        eager = bfs(g, 0, direction="auto", pull_threshold=0.01)
-        lazy = bfs(g, 0, direction="auto", pull_threshold=0.99)
-        assert eager.directions.count("pull") >= lazy.directions.count("pull")
-        assert np.array_equal(eager.levels, lazy.levels)
+    def test_switch_constants_and_points(self, rmat10, rmat10_directed, grid48):
+        """One direction rule: GAP's alpha/beta, read by the counted-edge
+        switch and by ``choose_direction``; the default pulls exactly
+        the two wide middle levels of an R-MAT and never on a grid."""
+        from repro.algorithms.bfs import ALPHA, BETA
+        from repro.operators.fused import DEFAULT_ALPHA, DEFAULT_BETA
+
+        assert (ALPHA, BETA) == (DEFAULT_ALPHA, DEFAULT_BETA) == (15.0, 18.0)
+        for g in (rmat10, rmat10_directed):
+            assert bfs(g, 0).directions == ["push", "pull", "pull", "push"]
+        assert set(bfs(grid48, 0).directions) == {"push"}
+
+    def test_grid_corners_never_pull(self):
+        """A grid's frontier grows for half the run, but its out-edges
+        never dominate the unexplored ones: no source in a corner block
+        (where the traversal benchmark draws them) pulls, and the CSC is
+        never built."""
+        side, block = 48, 3
+        g = grid_2d(side, side, weighted=True, seed=3)
+        edge = np.r_[0:block, side - block : side]
+        for source in (edge[:, None] * side + edge[None, :]).ravel():
+            assert set(bfs(g, int(source)).directions) == {"push"}
+        assert "csc" not in g.materialized_views()
 
     def test_auto_switches_on_rmat(self, rmat10):
         r = bfs(rmat10, 0, direction="auto")
@@ -97,6 +114,60 @@ class TestDirectionOptimized:
     def test_bad_direction_rejected(self, small_grid):
         with pytest.raises(ValueError):
             bfs(small_grid, 0, direction="both")
+
+
+@pytest.mark.parametrize("fixture", ["rmat10", "rmat10_directed"])
+class TestScannedWork:
+    """A superstep books the edges its kernel scanned, from vertex 0."""
+
+    def test_auto_scans_a_tenth_of_the_edges(self, request, fixture):
+        g = request.getfixturevalue(fixture)
+        assert bfs(g, 0).stats.total_edges_touched <= 0.1 * g.n_edges
+
+    def test_pull_exits_early(self, request, fixture):
+        # A pull that reads every in-edge of every unvisited vertex (no
+        # early exit) books >= 1.08 m on both graphs: this bound kills it.
+        g = request.getfixturevalue(fixture)
+        r = bfs(g, 0, direction="pull")
+        assert r.stats.total_edges_touched <= 0.5 * g.n_edges
+
+    def test_push_books_the_frontier_out_degrees(self, request, fixture):
+        g = request.getfixturevalue(fixture)
+        r = bfs(g, 0, direction="push")
+        degrees = g.out_degrees()
+        booked = [s.edges_touched for s in r.stats.iterations]
+        assert booked == [
+            int(degrees[r.levels == level].sum()) for level in range(len(booked))
+        ]
+
+    def test_generic_pull_books_every_candidate_in_edge(self, request, fixture):
+        # Without the fused kernel, pull reads all in-edges of every
+        # vertex still unreached when its superstep starts.
+        g = request.getfixturevalue(fixture)
+        r = bfs(g, 0, direction="pull", policy="seq")
+        in_degrees = g.in_degrees()
+        unreached = np.where(r.levels < 0, np.iinfo(np.int64).max, r.levels)
+        booked = [s.edges_touched for s in r.stats.iterations]
+        assert booked == [
+            int(in_degrees[unreached > step].sum()) for step in range(len(booked))
+        ]
+
+    def test_pulled_parent_is_first_active_in_neighbour(self, request, fixture):
+        g = request.getfixturevalue(fixture)
+        csc = g.csc()
+        for direction in ("pull", "auto"):
+            r = bfs(g, 0, direction=direction)
+            pulled = 0
+            for v in np.flatnonzero(r.levels > 0):
+                level = r.levels[v]
+                if direction == "auto" and r.directions[level - 1] != "pull":
+                    continue
+                lo, hi = csc.col_offsets[v], csc.col_offsets[v + 1]
+                srcs = csc.row_indices[lo:hi]
+                first = srcs[r.levels[srcs] == level - 1][0]
+                assert r.parents[v] == first
+                pulled += 1
+            assert pulled > 0
 
 
 class TestShapes:

@@ -21,7 +21,6 @@ from repro.graph.generators import grid_2d, rmat
 from repro.observability.probe import Probe
 from repro.operators.advance import neighbors_expand
 from repro.operators.fused import (
-    DirectionOptimizer,
     choose_direction,
     choose_representation,
     claim_levels_condition,
@@ -184,21 +183,6 @@ class TestAdaptiveHeuristics:
         assert choose_direction(g, mid, last_direction="pull") == "pull"
         tiny = SparseFrontier.from_indices([0], n)
         assert choose_direction(g, tiny, last_direction="pull") == "push"
-
-    def test_optimizer_records_history(self):
-        g = grid_2d(16, 16)
-        opt = DirectionOptimizer(g)
-        n = g.n_vertices
-        opt.choose(SparseFrontier.from_indices([0], n))
-        opt.choose(
-            SparseFrontier.from_indices(np.arange(n, dtype=np.int32), n)
-        )
-        assert opt.history == ["push", "pull"]
-        assert opt.last_direction == "pull"
-
-    def test_optimizer_rejects_bad_thresholds(self):
-        with pytest.raises(ValueError):
-            DirectionOptimizer(grid_2d(4, 4), alpha=0)
 
     def test_empty_graph_and_frontier_push(self):
         g = from_edge_list([], n_vertices=3)

@@ -176,18 +176,21 @@ def test_any_destination_cut_reproduces_the_whole_range_kernel(case):
     assert np.array_equal(got[1], parents[winners])
 
     parents = np.full(n, -1, dtype=VERTEX_DTYPE)
-    winners = fused.claim_pull(
+    winners, scanned = fused.claim_pull(
         csc.col_offsets, csc.row_indices, levels, active, cand, parents
     )
-    got = _concat([
+    parts = [
         claim_range(
             "pull", s["offsets"], s["targets"], levels, lo, hi,
             vertices=candidates, active=active,
         )
         for (lo, hi), s in zip(ranges, pulled)
-    ])
+    ]
+    got = _concat(parts)
     assert np.array_equal(got[0], winners)
     assert np.array_equal(got[1], parents[winners])
+    # Each candidate's early exit reads the same in-edges in its slice.
+    assert sum(part[2] for part in parts) == scanned
     # Workers read the pre-round mirrors and never write them.
     for mirror, now in zip(mirrors, (values, levels, active)):
         assert np.array_equal(mirror, now)
@@ -230,9 +233,10 @@ def test_bfs_matches_seq(proc_graph):
     a = bfs(proc_graph, 0, policy="seq")
     b = bfs(proc_graph, 0, policy=PROC2)
     assert np.array_equal(a.levels, b.levels)
-    # A rank's slice keeps each destination's in-edges in CSR order, so
-    # its last-write parent is the in-process kernel's, exactly (seq
-    # picks its own valid parents).
+    # A rank's slice keeps each destination's in-edges in CSR and CSC
+    # order, so its parents are the in-process kernel's, exactly: the
+    # last write on push supersteps, the first active in-neighbour on
+    # pull ones (seq picks its own valid parents).
     assert np.array_equal(
         b.parents, bfs(proc_graph, 0, policy="par_vector").parents
     )
@@ -298,6 +302,9 @@ def test_traversals_bit_identical_to_par_vector(case):
             got = bfs(g, source, policy=proc, direction=direction)
             assert np.array_equal(got.levels, want.levels)
             assert np.array_equal(got.parents, want.parents)
+            assert (
+                got.stats.total_edges_touched == want.stats.total_edges_touched
+            )
             assert np.array_equal(
                 sssp(g, source, policy=proc, direction=direction).distances,
                 sssp(g, source, direction=direction).distances,

@@ -134,7 +134,7 @@ def test_a_toy_spec_runs_through_run_and_profile(
     "argv, expected",
     [
         (["run", "pagerank"], {"policy": "par_vector", "tolerance": 1e-6}),
-        (["run", "bfs"], {"direction": "push", "source": 0}),
+        (["run", "bfs"], {"direction": "auto", "source": 0}),
         (["run", "tc", "--policy", "seq"], {"policy": "seq"}),
         (["run", "ktruss"], {"policy": "par"}),
         (["profile", "sssp_async"], {"num_workers": 4, "source": 0}),
