@@ -7,10 +7,14 @@ repo runs unmodified on a mutated graph.  Internally it is three parts:
 
 * an immutable **base** :class:`Graph` snapshot (never touched);
 * a :class:`~repro.dynamic.overlay.DeltaOverlay` of staged mutations;
-* a per-epoch **merged snapshot cache**: the first structural read after
-  a mutation batch merges base+delta into a fresh ordinary ``Graph``
-  (one O(V + E) counting sort), and every subsequent read — push CSR,
-  pull CSC, COO, transpose — reuses it until the next mutation.
+* a per-epoch **merged snapshot**: the first structural read after a
+  mutation batch builds a fresh ordinary ``Graph`` by *patching* the
+  last snapshot (the base, before the first) with only the arcs that
+  changed since it — the CSR always, the CSC too when the last snapshot
+  had one — and every subsequent read (push CSR, pull CSC, COO,
+  transpose) reuses it until the next mutation.  The patch is a few
+  linear passes over the previous arrays (:mod:`repro.graph.splice`);
+  no epoch after the first sorts or transposes the whole edge set.
 
 Scalar adjacency queries (``get_neighbors``, ``has_edge``, degree,
 ``iter_edges``) answer straight from base+delta without forcing the
@@ -32,14 +36,12 @@ affected set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import GraphFormatError
 from repro.graph.builder import from_edge_array
-from repro.graph.coo import COOMatrix
-from repro.graph.csr import CSRMatrix
 from repro.graph.graph import Graph
 from repro.dynamic.overlay import DeltaOverlay
 from repro.observability.probe import active_probe
@@ -220,8 +222,9 @@ class DynamicGraph:
         self._epoch = 0
         self._compactions = 0
         self._log: List[Tuple[int, MutationBatch]] = []
-        #: (epoch, Graph) of the last merged snapshot, or None.
-        self._snapshot: Optional[Tuple[int, Graph]] = None
+        #: (epoch, Graph) of the last merged snapshot — the base at first.
+        #: Kept past later mutations: the next snapshot patches it.
+        self._snapshot: Tuple[int, Graph] = (0, graph)
 
     # -- identity ----------------------------------------------------------------
 
@@ -344,7 +347,6 @@ class DynamicGraph:
             batch = MutationBatch(*self._overlay.stage(*dels, *ins))
             self._epoch += 1
             self._log.append((self._epoch, batch))
-            self._snapshot = None
             probe.counter("dynamic.mutations", batch.size)
             probe.gauge("dynamic.epoch", self._epoch)
         self._maybe_compact()
@@ -375,28 +377,33 @@ class DynamicGraph:
     def graph(self) -> Graph:
         """The merged base+delta snapshot as an ordinary :class:`Graph`.
 
-        Cached per epoch: the first call after a mutation pays one
-        O(V + E) merge; later calls (and every view derived from the
-        returned graph — CSC transpose included) are free.  With an
-        empty overlay the base graph itself is returned.
+        Cached per epoch: the first call after a mutation patches the
+        last snapshot's CSR — and its CSC, if it had one — with the arcs
+        changed since (:meth:`DeltaOverlay.patch`), so the cost follows
+        the batch plus a linear copy, not a sort of every edge.  Later
+        calls, and every view derived from the returned graph, are free.
+        With an empty overlay the base graph itself is returned.  The
+        returned graph is never modified afterwards.
         """
         if self._overlay.size == 0:
             return self._base
-        if self._snapshot is not None and self._snapshot[0] == self._epoch:
-            return self._snapshot[1]
+        epoch, prev = self._snapshot
+        if epoch == self._epoch:
+            return prev
         probe = active_probe()
         with probe.span(
             "dynamic:snapshot",
             epoch=self._epoch,
             overlay=self._overlay.size,
             n_edges=self.n_edges,
-        ):
-            rows, cols, vals = self._overlay.merged_coo_arrays()
-            n = self.n_vertices
-            coo = COOMatrix(n, n, rows, cols, vals)
-            ro, ci, merged_vals = coo.to_csr_arrays()
-            csr = CSRMatrix(n, n, ro, ci, merged_vals)
-            merged = Graph({"csr": csr}, self.properties)
+        ) as span:
+            csr, csc, delta = self._overlay.patch(
+                prev.csr(), prev.csc() if prev.has_view("csc") else None
+            )
+            views = {"csr": csr} if csc is None else {"csr": csr, "csc": csc}
+            span.set("views", ",".join(views))
+            span.set("delta_arcs", delta)
+            merged = Graph(views, self.properties)
         self._snapshot = (self._epoch, merged)
         return merged
 
@@ -424,7 +431,6 @@ class DynamicGraph:
             merged = self.graph()
             self._base = merged
             self._overlay = DeltaOverlay(merged.csr())
-            self._snapshot = None
             self._compactions += 1
             probe.counter("dynamic.compactions")
         return merged
@@ -470,9 +476,22 @@ class DynamicGraph:
         """Per-vertex in-degrees of the merged graph."""
         return self.graph().in_degrees()
 
-    def memory_footprint(self):
-        """Byte accounting of the merged snapshot's views."""
-        return self.graph().memory_footprint()
+    def memory_footprint(self) -> Dict[str, int]:
+        """Bytes held now, without forcing a merge: ``snapshot.<view>``
+        for the retained snapshot's views, ``base.<view>`` for the base's
+        when it is a different graph, and ``overlay.<part>`` for the
+        overlay's arrays (see :meth:`DeltaOverlay.memory_footprint`)."""
+        held = {"snapshot": self._snapshot[1]}
+        if self._base is not self._snapshot[1]:
+            held["base"] = self._base
+        out = {
+            f"{name}.{view}": size
+            for name, graph in held.items()
+            for view, size in graph.memory_footprint().items()
+        }
+        for part, size in self._overlay.memory_footprint().items():
+            out[f"overlay.{part}"] = size
+        return out
 
     # -- overlay-direct scalar adjacency (no merge forced) -------------------------
 

@@ -16,6 +16,14 @@ restores insertion order for the merge), and the base arcs get a sorted
 key index built once per base, on first use — so a whole batch is
 located with a few ``searchsorted`` calls, never a per-arc Python loop.
 
+Each staged batch also records its *structural delta*: the base edge ids
+it tombstoned and the staged inserts it un-staged or rewrote (new arcs
+need no record: their staging numbers are past the last patch's mark).
+:meth:`DeltaOverlay.patch` turns the deltas since the last merged
+snapshot into a splice of that snapshot's CSR and CSC
+(:mod:`repro.graph.splice`), so an epoch's merge costs a few passes over
+the previous arrays plus work in the changed arcs, not a rebuild.
+
 Invariants (audited by :func:`repro.graph.validate.validate_overlay`):
 
 * tombstones reference *base* edge ids only, each at most once —
@@ -29,12 +37,14 @@ Invariants (audited by :func:`repro.graph.validate.validate_overlay`):
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import GraphFormatError
+from repro.graph.csc import CSCMatrix
 from repro.graph.csr import CSRMatrix
+from repro.graph.splice import Splice, segment_search
 from repro.graph.transpose import bucket_order
 from repro.types import VERTEX_DTYPE, WEIGHT_DTYPE
 
@@ -50,6 +60,21 @@ def _sorted_lookup(sorted_keys: np.ndarray, keys: np.ndarray):
     if sorted_keys.size == 0:
         return pos, np.zeros(pos.shape, dtype=bool)
     return pos, sorted_keys[np.minimum(pos, sorted_keys.size - 1)] == keys
+
+
+def _expand(lo: np.ndarray, hi: np.ndarray):
+    """``(query, position)`` over the slices ``[lo[i], hi[i])``: one row
+    per covered position, grouped by query."""
+    cnts = hi - lo
+    query = np.repeat(np.arange(cnts.shape[0]), cnts)
+    return query, np.arange(query.shape[0]) + np.repeat(
+        lo - (np.cumsum(cnts) - cnts), cnts
+    )
+
+
+def _concat(parts) -> np.ndarray:
+    """The int64 arrays ``parts`` end to end (empty for no parts)."""
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
 class DeltaOverlay:
@@ -71,6 +96,11 @@ class DeltaOverlay:
         "_base_ids",
         "_dead",
         "_dead_count",
+        "_killed",
+        "_unstaged",
+        "_rewritten",
+        "_mark",
+        "_dead_ids",
     )
 
     def __init__(self, base: CSRMatrix) -> None:
@@ -90,6 +120,16 @@ class DeltaOverlay:
         #: first delete so a pure-insert overlay costs no O(E) array).
         self._dead = None
         self._dead_count = 0
+        #: The structural deltas since the last :meth:`patch`: tombstoned
+        #: base ids, and ``(keys, seqs)`` of un-staged and rewritten
+        #: inserts, one entry per batch.  ``_mark`` is the staging number
+        #: the last patch had reached (later ones are the new arcs), and
+        #: ``_dead_ids`` the sorted base ids tombstoned by then.
+        self._killed = []
+        self._unstaged = []
+        self._rewritten = []
+        self._mark = 0
+        self._dead_ids = np.empty(0, dtype=np.int64)
 
     # -- size accounting ---------------------------------------------------------
 
@@ -137,10 +177,9 @@ class DeltaOverlay:
             self._base_keys = index[self._base_ids]
         order = np.argsort(keys)  # sorted needles, as in _sorted_lookup
         lo = np.searchsorted(self._base_keys, keys[order], side="left")
-        cnts = np.searchsorted(self._base_keys, keys[order], side="right") - lo
-        at = np.repeat(lo - (np.cumsum(cnts) - cnts), cnts)
-        at += np.arange(at.shape[0])
-        query, edges = np.repeat(order, cnts), self._base_ids[at]
+        hi = np.searchsorted(self._base_keys, keys[order], side="right")
+        query, at = _expand(lo, hi)
+        query, edges = order[query], self._base_ids[at]
         if self._dead is not None:
             alive = ~self._dead[edges]
             query, edges = query[alive], edges[alive]
@@ -198,8 +237,10 @@ class DeltaOverlay:
         d_w[d_hit] = self._add_w[d_slot[d_hit]]
         d_w[~d_hit] = self.base.values[d_edge[~d_hit]]
         self._kill(d_edge[~d_hit])
+        gone = d_slot[d_hit]
+        self._unstaged.append((self._add_keys[gone], self._add_seq[gone]))
         keep = np.ones(self.n_inserted, dtype=bool)
-        keep[d_slot[d_hit]] = False
+        keep[gone] = False
         self._add_keys = self._add_keys[keep]
         self._add_w = self._add_w[keep]
         self._add_seq = self._add_seq[keep]
@@ -217,6 +258,7 @@ class DeltaOverlay:
         slot, rewrite = _sorted_lookup(self._add_keys, w_key)
         r_old = self._add_w[slot[rewrite]]
         self._add_w[slot[rewrite]] = w_w[rewrite]
+        self._rewritten.append((w_key[rewrite], self._add_seq[slot[rewrite]]))
         fresh = np.flatnonzero(~rewrite)
         query, edges = self._live_base_arcs(w_key[fresh])
         self._kill(edges)
@@ -244,6 +286,7 @@ class DeltaOverlay:
                 self._dead = np.zeros(self.base.get_num_edges(), dtype=bool)
             self._dead[edges] = True
             self._dead_count += int(edges.size)
+            self._killed.append(edges)
 
     def _append(self, keys: np.ndarray, weights: np.ndarray) -> None:
         """Stage new arcs (distinct keys, none staged yet), numbering them
@@ -318,7 +361,9 @@ class DeltaOverlay:
         append in staging order.  The counting sort in
         :meth:`COOMatrix.to_csr_arrays` is stable, so a CSR built from
         these arrays lists each vertex's surviving base edges before its
-        inserted ones — the property the round-trip tests pin down.
+        inserted ones — the layout :meth:`patch` maintains.  This is the
+        from-scratch rebuild that the patched snapshots are checked
+        against; snapshots themselves never take this path.
         """
         base = self.base
         keep = self.live_mask()
@@ -332,6 +377,179 @@ class DeltaOverlay:
             np.concatenate([base.column_indices[keep], add_dst]),
             np.concatenate([base.values[keep], add_w]),
         )
+
+    # -- patching the merged snapshot --------------------------------------------
+
+    def patch(
+        self, csr: CSRMatrix, csc: Optional[CSCMatrix] = None
+    ) -> Tuple[CSRMatrix, Optional[CSCMatrix], int]:
+        """The merged views now, patched from the previous ones.
+
+        ``csr`` (and ``csc``, when the previous snapshot has one) must be
+        the merged views as of the last :meth:`patch` — or the base's,
+        before the first.  Returns ``(csr, csc or None, delta_arcs)``,
+        equal array for array to a rebuild from
+        :meth:`merged_coo_arrays` (and its transpose), and starts a new
+        delta record.  The inputs are not modified.
+
+        A snapshot lists each row's live base arcs in id order, then its
+        staged arcs in staging order; its CSC, the stable transpose,
+        orders each column by row and then the same way.  So an arc that
+        leaves is located by tombstone counts (base arcs) or staging
+        ranks (staged arcs), and a new arc — staged after every arc of
+        the previous snapshot — goes at the end of its row, and in its
+        column after every entry whose row is not greater.
+        """
+        n, mark = self._n, self._mark
+        ro_base = self.base.row_offsets
+        killed = np.sort(_concat(self._killed))
+        k_src = np.searchsorted(ro_base, killed, side="right") - 1
+        # Un-staged and rewritten arcs count only if they were staged
+        # before the mark, i.e. present in csr.
+        g_keys = _concat([keys for keys, _ in self._unstaged])
+        g_seq = _concat([seq for _, seq in self._unstaged])
+        g_keys, g_seq = g_keys[g_seq < mark], g_seq[g_seq < mark]
+        r_keys = _concat([keys for keys, _ in self._rewritten])
+        r_seq = _concat([seq for _, seq in self._rewritten])
+        r_seq, first = np.unique(r_seq, return_index=True)
+        r_keys = r_keys[first]
+        old = (r_seq < mark) & ~np.isin(r_seq, g_seq)
+        r_keys, r_seq = r_keys[old], r_seq[old]
+        r_w = self._add_w[np.searchsorted(self._add_keys, r_keys)]
+        fresh = self._add_seq >= mark
+        a_keys, a_seq, a_w = (
+            self._add_keys[fresh],
+            self._add_seq[fresh],
+            self._add_w[fresh],
+        )
+        a_src = a_keys // n
+
+        # A tombstoned base arc sits after its row's earlier base arcs
+        # that were live in csr; a staged arc sits before its row's
+        # later-staged arcs that were in csr.
+        def dead_before(ids):
+            return np.searchsorted(self._dead_ids, ids)
+
+        start = ro_base[k_src]
+        k_pos = (
+            csr.row_offsets[k_src]
+            + (killed - start)
+            - (dead_before(killed) - dead_before(start))
+        )
+        gone = np.argsort(g_keys)
+        gone_keys, gone_seq = g_keys[gone], g_seq[gone]
+
+        def staged_pos(keys, seq):
+            src = keys // n
+            later = self._later_in_row(
+                self._add_keys, self._add_seq, src, seq
+            ) + self._later_in_row(gone_keys, gone_seq, src, seq)
+            return csr.row_offsets[src + 1] - 1 - later
+
+        rows = np.lexsort((a_seq, a_src))  # staging order within a row
+        splice = Splice(
+            csr.row_offsets,
+            np.concatenate([k_pos, staged_pos(g_keys, g_seq)]),
+            csr.row_offsets[a_src[rows] + 1],
+            a_src[rows],
+        )
+        values = splice.apply(csr.values, a_w[rows])
+        values[splice.moved(staged_pos(r_keys, r_seq))] = r_w
+        merged = CSRMatrix(
+            csr.n_rows,
+            csr.n_cols,
+            splice.offsets,
+            splice.apply(csr.column_indices, a_keys[rows] % n),
+            values,
+        )
+        if csc is not None:
+            csc = self._patch_csc(
+                csc, killed, k_src, g_keys, r_keys, r_w, a_keys, a_w
+            )
+        delta = int(killed.size + g_keys.size + r_keys.size + a_keys.size)
+        self._dead_ids = np.insert(
+            self._dead_ids, np.searchsorted(self._dead_ids, killed), killed
+        )
+        self._killed, self._unstaged, self._rewritten = [], [], []
+        self._mark = self._seq
+        return merged, csc, delta
+
+    def _patch_csc(self, csc, killed, k_src, g_keys, r_keys, r_w, a_keys, a_w):
+        """:meth:`patch`'s CSC half."""
+        n, co = self._n, csc.col_offsets
+        k_dst = self.base.column_indices[killed].astype(np.int64)
+        a_src, a_dst = a_keys // n, a_keys % n
+        cols = np.lexsort((a_src, a_dst))
+        a_src, a_dst = a_src[cols], a_dst[cols]
+        # One search finds where each (row, column) pair starts in its
+        # column: the leaving and rewritten arcs' own row, and for a new
+        # arc the next row — it goes after every entry with its row.
+        src = np.concatenate([k_src, g_keys // n, r_keys // n, a_src + 1])
+        dst = np.concatenate([k_dst, g_keys % n, r_keys % n, a_dst])
+        found = segment_search(csc.row_indices, co[dst], co[dst + 1], src)
+        k_pos, g_pos, r_pos, at = np.split(
+            found, np.cumsum([killed.size, g_keys.size, r_keys.size])
+        )
+        # A tombstoned base arc follows the parallel arcs of its pair
+        # with smaller ids that were live in csc.
+        nxt = np.minimum(k_pos + 1, max(csc.row_indices.size - 1, 0))
+        run = np.flatnonzero(
+            (k_pos + 1 < co[k_dst + 1]) & (csc.row_indices[nxt] == k_src)
+        )
+        if run.size:
+            keys = k_src[run] * n + k_dst[run]
+            k_pos[run] += self._live_rank(killed, keys, run)
+        splice = Splice(co, np.concatenate([k_pos, g_pos]), at, a_dst)
+        values = splice.apply(csc.values, a_w[cols])
+        values[splice.moved(r_pos)] = r_w
+        return CSCMatrix(
+            csc.n_rows,
+            csc.n_cols,
+            splice.offsets,
+            splice.apply(csc.row_indices, a_src),
+            values,
+        )
+
+    def _later_in_row(self, keys, seqs, src, seq) -> np.ndarray:
+        """Per query ``i``: how many arcs of the key-sorted ``(keys,
+        seqs)`` lie in row ``src[i]`` and were staged after ``seq[i]`` but
+        before the mark."""
+        query, at = _expand(
+            np.searchsorted(keys, src * self._n),
+            np.searchsorted(keys, (src + 1) * self._n),
+        )
+        later = (seqs[at] > seq[query]) & (seqs[at] < self._mark)
+        return np.bincount(query[later], minlength=src.shape[0])
+
+    def _live_rank(self, killed, keys, which) -> np.ndarray:
+        """For the tombstoned base arcs ``killed[which]`` (``killed``
+        sorted), whose arc keys are ``keys``: how many parallel arcs with
+        smaller ids were live before the mark."""
+        query, at = _expand(
+            np.searchsorted(self._base_keys, keys, side="left"),
+            np.searchsorted(self._base_keys, keys, side="right"),
+        )
+        ids = self._base_ids[at]
+        hit = np.minimum(np.searchsorted(killed, ids), killed.size - 1)
+        was_live = ~self._dead[ids] | (killed[hit] == ids)
+        earlier = was_live & (ids < killed[which][query])
+        return np.bincount(query[earlier], minlength=which.shape[0])
+
+    def memory_footprint(self) -> Dict[str, int]:
+        """Bytes held by the overlay's arrays: the base key index, the
+        tombstone mask, the staged inserts and the recorded deltas."""
+
+        def nbytes(*arrays) -> int:
+            return sum(a.nbytes for a in arrays if a is not None)
+
+        pairs = self._unstaged + self._rewritten
+        deltas = self._killed + [a for pair in pairs for a in pair]
+        return {
+            "key_index": nbytes(self._base_keys, self._base_ids),
+            "tombstones": nbytes(self._dead, self._dead_ids),
+            "staged": nbytes(self._add_keys, self._add_w, self._add_seq),
+            "deltas": nbytes(*deltas),
+        }
 
     def __repr__(self) -> str:
         return (

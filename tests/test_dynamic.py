@@ -28,8 +28,13 @@ from repro.dynamic import (
     incremental_sssp,
 )
 from repro.errors import GraphFormatError
+import repro.graph.transpose as transpose_module
 from repro.graph import from_edge_list
 from repro.graph.adjacency import AdjacencyList
+from repro.graph.coo import COOMatrix
+from repro.graph.csr import CSRMatrix
+from repro.graph.generators import rmat
+from repro.graph.transpose import transpose_csr
 from repro.graph.validate import validate_graph, validate_overlay
 from repro.service import GraphCatalog, QueryService, ServiceConfig
 from repro.service.queries import execute_query
@@ -464,6 +469,161 @@ class TestOverlayAgainstModel:
         assert batch.removed_w.tolist() == [1.0]
         repaired = incremental_sssp(dyn, cold, batch=batch)
         assert repaired.distances.tolist() == [0.0, 1.0, 6.0]
+
+
+# -- patched snapshots against a from-scratch rebuild ----------------------------------
+
+
+def rebuilt_views(dyn):
+    """The merged CSR and CSC built from scratch: the overlay's merged
+    COO arrays, a counting sort into CSR, and a transpose."""
+    n = dyn.n_vertices
+    rows, cols, vals = dyn.overlay.merged_coo_arrays()
+    ro, ci, w = COOMatrix(n, n, rows, cols, vals).to_csr_arrays()
+    csr = CSRMatrix(n, n, ro, ci, w)
+    return csr, transpose_csr(csr)
+
+
+def assert_same_layout(got, want):
+    for name in got.__slots__:
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a, b), name
+        else:
+            assert a == b, name
+
+
+@st.composite
+def patch_streams(draw):
+    """A base graph (directed multigraph or undirected, with or without
+    a CSC) and several epochs, each a batch plus what to read after it.
+
+    Batches mix deletes of base and staged arcs, weight updates of base
+    and staged arcs, fresh inserts and duplicate inserts; reads are
+    nothing, the CSR alone, or the CSR and the CSC; an epoch may end in
+    a compaction."""
+    directed = draw(st.booleans())
+    base = draw(graphs(n_vertices=9, max_edges=30, directed=directed))
+    if draw(st.booleans()):
+        base.csc()
+    vertex = st.integers(0, base.n_vertices - 1)
+    weight = st.sampled_from([0.5, 1.0, 2.5, 4.0])
+    epochs = []
+    for _ in range(draw(st.integers(1, 6))):
+        epochs.append(
+            (
+                draw(st.integers(0, 4)),  # how many live arcs to delete
+                draw(st.integers(0, 3)),  # how many to re-weight
+                draw(st.permutations(range(40))),
+                draw(st.lists(st.tuples(vertex, vertex, weight), max_size=6)),
+                draw(st.booleans()),  # insert one arc twice
+                draw(st.sampled_from(["none", "csr", "csc"])),
+                draw(st.integers(0, 5)) == 0,  # compact after
+            )
+        )
+    return base, directed, epochs
+
+
+class TestSnapshotPatch:
+    @settings(max_examples=120, deadline=None, suppress_health_check=SUPPRESS)
+    @given(patch_streams())
+    def test_patched_views_equal_a_rebuild(self, stream):
+        base, directed, epochs = stream
+        dyn = DynamicGraph(base, compact_threshold=None)
+        for n_rm, n_rw, shuffle, inserts, twice, read, compact in epochs:
+            live = sorted(
+                {(s, d) for s, d, _ in dyn.iter_edges() if directed or s <= d}
+            )
+            picks = [i for i in shuffle if i < len(live)]
+            removes = [live[i] for i in picks[:n_rm]]
+            reweigh = [(*live[i], 9.0) for i in picks[n_rm : n_rm + n_rw]]
+            inserts = inserts + reweigh
+            if twice and inserts:
+                inserts.append((*inserts[0][:2], 7.5))
+            dyn.apply(insert=inserts, remove=removes)
+            if read != "none":
+                csr, csc = rebuilt_views(dyn)
+                merged = dyn.graph()
+                assert_same_layout(merged.csr(), csr)
+                if read == "csc" or merged.has_view("csc"):
+                    assert_same_layout(merged.csc(), csc)
+            if compact:
+                dyn.compact()
+        csr, csc = rebuilt_views(dyn)
+        assert_same_layout(dyn.graph().csr(), csr)
+        assert_same_layout(dyn.graph().csc(), csc)
+
+    def test_old_snapshot_is_left_untouched(self):
+        g = from_edge_list(
+            [(0, 1, 1.0), (0, 2, 2.0), (1, 2, 3.0)], directed=True
+        )
+        dyn = DynamicGraph(g)
+        dyn.insert_edges([(2, 0, 4.0)])
+        first = dyn.graph()
+        first.csc()
+        arrays = [a.copy() for a in (first.csr().values, first.csc().values)]
+        dyn.apply(insert=[(2, 0, 5.0), (1, 0, 6.0)], remove=[(0, 1)])
+        second = dyn.graph()
+        assert second is not first
+        assert np.array_equal(first.csr().values, arrays[0])
+        assert np.array_equal(first.csc().values, arrays[1])
+        assert second.csr().get_neighbors(2).tolist() == [0]
+        assert second.csr().get_neighbor_weights(2).tolist() == [5.0]
+
+    def test_epochs_after_the_first_neither_sort_nor_transpose(
+        self, monkeypatch
+    ):
+        g = rmat(10, 8, weighted=True, seed=3)
+        dyn = DynamicGraph(g)
+        rng = np.random.default_rng(0)
+        calls = {"transpose": 0, "to_csr_arrays": 0}
+        real_transpose = transpose_module.transpose_csr
+        real_to_csr = COOMatrix.to_csr_arrays
+
+        def transpose(csr):
+            calls["transpose"] += 1
+            return real_transpose(csr)
+
+        def to_csr_arrays(coo):
+            calls["to_csr_arrays"] += 1
+            return real_to_csr(coo)
+
+        monkeypatch.setattr(transpose_module, "transpose_csr", transpose)
+        monkeypatch.setattr(COOMatrix, "to_csr_arrays", to_csr_arrays)
+        half = g.n_edges // 200
+        for epoch in range(6):
+            if epoch == 1:
+                calls = dict.fromkeys(calls, 0)
+            live = np.array([(s, d) for s, d, _ in dyn.iter_edges()])
+            removes = live[rng.choice(len(live), half, replace=False)]
+            inserts = rng.integers(0, g.n_vertices, (half, 2))
+            dyn.apply(
+                insert=[(int(s), int(d), 2.0) for s, d in inserts],
+                remove=[(int(s), int(d)) for s, d in removes],
+            )
+            dyn.graph()
+            dyn.csc()
+        assert calls == {"transpose": 0, "to_csr_arrays": 0}
+
+
+def test_memory_footprint_reports_the_overlay():
+    g = from_edge_list([(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)], directed=True)
+    dyn = DynamicGraph(g, compact_threshold=None)
+    before = dyn.memory_footprint()
+    assert {
+        "snapshot.csr",
+        "overlay.key_index",
+        "overlay.tombstones",
+        "overlay.staged",
+        "overlay.deltas",
+    } <= set(before)
+    dyn.remove_edge(0, 1)
+    after = dyn.memory_footprint()
+    assert after["overlay.key_index"] > 0 and after["overlay.tombstones"] > 0
+    assert sum(after.values()) > sum(before.values())
+    dyn.graph()
+    assert "base.csr" in dyn.memory_footprint()
 
 
 # -- targeted repair cases -------------------------------------------------------------
