@@ -13,7 +13,11 @@ checks:
   tombstones);
 * **overlay vs compacted** — the merged base+delta snapshot and the
   compacted CSR must be the same graph (identical edge multiset,
-  identical BFS/SSSP results), so compaction can never change answers.
+  identical BFS/SSSP results), so compaction can never change answers;
+* **snapshot vs rebuild** — after each of two batches, the snapshot's
+  CSR and CSC, patched from the previous snapshot, must equal array for
+  array (dtypes and order included) a from-scratch merge of base and
+  overlay and its transpose; the second batch checks a patch of a patch.
 
 Failures carry one-line replay commands, mirroring the matrix runner's
 contract.
@@ -40,7 +44,10 @@ from repro.dynamic.incremental import (
     incremental_sssp,
 )
 from repro.errors import GraphFormatError
+from repro.graph.coo import COOMatrix
+from repro.graph.csr import CSRMatrix
 from repro.graph.graph import Graph
+from repro.graph.transpose import transpose_csr
 from repro.graph.validate import validate_overlay
 from repro.verify.graph_pool import GraphPool
 
@@ -169,6 +176,29 @@ def _edge_multiset(graph: Graph) -> np.ndarray:
     return rows[order]
 
 
+def _snapshot_mismatch(dg: DynamicGraph) -> Optional[str]:
+    """Which array of ``dg``'s patched CSR / CSC (the CSC forced) differs
+    from a from-scratch merge and transpose, or None."""
+    n = dg.n_vertices
+    rows, cols, vals = dg.overlay.merged_coo_arrays()
+    fresh = CSRMatrix(n, n, *COOMatrix(n, n, rows, cols, vals).to_csr_arrays())
+    merged = dg.graph()
+    for view, got, want in (
+        ("csr", merged.csr(), fresh),
+        ("csc", merged.csc(), transpose_csr(fresh)),
+    ):
+        for name in got.__slots__:
+            a, b = getattr(got, name), getattr(want, name)
+            same = (
+                a.dtype == b.dtype and np.array_equal(a, b)
+                if isinstance(a, np.ndarray)
+                else a == b
+            )
+            if not same:
+                return f"patched {view}.{name} differs from a rebuild"
+    return None
+
+
 def run_dynamic(
     *,
     seed: int = 0,
@@ -291,6 +321,27 @@ def run_dynamic(
                 ),
             )
         )
+
+        # The patched snapshot equals a rebuild, after this batch and
+        # after a second one patched on top of it.
+        for step in range(2):
+            if step:
+                inserts, removes = _mutation_plan(merged, rng)
+                dg.apply(insert=inserts, remove=removes)
+                merged = dg.graph()
+            detail = _snapshot_mismatch(dg)
+            report.record(
+                None
+                if detail is None
+                else DynamicFailure(
+                    check="snapshot-vs-rebuild",
+                    algo="-",
+                    graph=case.name,
+                    policy="-",
+                    seed=seed,
+                    detail=f"batch {step + 1}: {detail}",
+                )
+            )
 
         # Overlay view and compacted CSR must be the same graph.
         pre_edges = _edge_multiset(merged)
