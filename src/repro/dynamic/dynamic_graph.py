@@ -13,8 +13,9 @@ repo runs unmodified on a mutated graph.  Internally it is three parts:
   changed since it — the CSR always, the CSC too when the last snapshot
   had one — and every subsequent read (push CSR, pull CSC, COO,
   transpose) reuses it until the next mutation.  The patch is a few
-  linear passes over the previous arrays (:mod:`repro.graph.splice`);
-  no epoch after the first sorts or transposes the whole edge set.
+  linear passes over the previous arrays (:mod:`repro.graph.splice`):
+  the CSR is never sorted again, and the CSC is transposed only when
+  a snapshot first needs one that its predecessor did not have.
 
 Scalar adjacency queries (``get_neighbors``, ``has_edge``, degree,
 ``iter_edges``) answer straight from base+delta without forcing the
